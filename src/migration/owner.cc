@@ -1,10 +1,8 @@
 #include "migration/owner.h"
 
-#include "crypto/aead.h"
-#include "crypto/hmac.h"
-#include "crypto/sha256.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sgx/attested_dh.h"
 #include "util/serde.h"
 
 namespace mig::migration {
@@ -43,18 +41,13 @@ void EnclaveOwner::serve_one(sim::ThreadCtx& ctx, sim::Channel::End end) {
 
   // Verify the quote through the attestation service (the owner's own WAN
   // round trip to IAS).
-  auto quote = sgx::Quote::deserialize(quote_wire);
-  if (!quote.ok()) return refuse("bad quote");
-  ctx.sleep(2 * sim::default_cost_model().wan_latency_ns);
-  sgx::AttestationVerdict verdict =
-      ias_->verify(ctx, *quote, rng_.generate(16));
-  if (!verdict.ok) return refuse("attestation failed");
-  crypto::Digest bind = crypto::Sha256::hash(dh_pub_e);
-  if (!crypto::ct_equal(ByteSpan(verdict.report_data), ByteSpan(bind)))
-    return refuse("quote does not bind DH value");
+  const sim::CostModel& cm = sim::default_cost_model();
+  auto verdict = sgx::check_quote(ctx, *ias_, rng_, cm.wan_latency_ns,
+                                  quote_wire, dh_pub_e);
+  if (!verdict.ok()) return refuse(verdict.status().message());
 
-  auto it = enrolled_.find(Bytes(verdict.mrenclave.begin(),
-                                 verdict.mrenclave.end()));
+  auto it = enrolled_.find(Bytes(verdict->mrenclave.begin(),
+                                 verdict->mrenclave.end()));
   if (it == enrolled_.end()) return refuse("unknown enclave");
 
   Bytes payload;
@@ -68,19 +61,17 @@ void EnclaveOwner::serve_one(sim::ThreadCtx& ctx, sim::Channel::End end) {
   } else {
     return refuse("unknown verb");
   }
-  audit_.push_back(AuditEntry{verb, verdict.mrenclave, ctx.now()});
+  audit_.push_back(AuditEntry{verb, verdict->mrenclave, ctx.now()});
   obs::instant(ctx, "owner.granted", "migration", {{"verb", verb}});
 
-  ctx.work(sim::default_cost_model().dh_keygen_ns +
-           sim::default_cost_model().dh_shared_ns);
-  crypto::DhKeyPair kp = crypto::dh_generate(rng_);
-  auto shared = crypto::dh_shared(kp.priv, crypto::BigNum::from_bytes(dh_pub_e));
-  if (!shared.ok()) return refuse("degenerate DH value");
-  Bytes session = crypto::hkdf(to_bytes("owner-channel"), *shared, dh_pub_e, 32);
+  auto answer = sgx::dh_answer(
+      rng_, [&ctx](uint64_t ns) { ctx.work(ns); },
+      sgx::DhCost::remote(cm), "owner-channel", dh_pub_e, payload);
+  if (!answer.ok()) return refuse("degenerate DH value");
   Writer w;
   w.str("OWNERKEY");
-  w.bytes(kp.pub.to_bytes_padded(128));
-  w.bytes(crypto::seal(crypto::CipherAlg::kChaCha20, session, payload));
+  w.bytes(answer->pub);
+  w.bytes(answer->sealed);
   end.send(ctx, w.take());
 }
 

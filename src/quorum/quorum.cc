@@ -157,12 +157,8 @@ void QuorumCounterService::serve_one(sim::ThreadCtx& ctx,
   obs::metrics().add("quorum.requests");
   // Peek the verb for observability only — replicas parse (and, being the
   // trusted side, judge) the request themselves.
-  std::string verb = "?";
-  {
-    Reader r(request);
-    std::string v = r.str();
-    if (r.ok()) verb = std::move(v);
-  }
+  auto peeked = sdk::parse_counter_request(request);
+  const std::string verb = peeked.ok() ? peeked->verb : "?";
 
   const uint64_t op = next_op_++;
   const uint64_t quorum = membership().quorum();
@@ -223,14 +219,8 @@ void QuorumCounterService::serve_one(sim::ThreadCtx& ctx,
     obs::instant(ctx, "quorum.refused", "quorum",
                  {{"verb", verb}, {"why", quorum_refusal}});
     obs::flight(ctx, "quorum", "refused", verb + ": " + quorum_refusal);
-    Writer w;
-    w.str("REFUSED:" + quorum_refusal);
-    w.u64(0);
-    w.bytes({});
-    w.bytes({});
-    w.bytes({});
     pending_.erase(op);
-    end.send(ctx, w.take());
+    end.send(ctx, sdk::encode_counter_refusal(quorum_refusal));
     return;
   }
   if (winning_counter == 0) {
@@ -326,14 +316,8 @@ void QuorumCounterService::serve_one(sim::ThreadCtx& ctx,
       obs::instant(ctx, "quorum.refused", "quorum",
                    {{"verb", verb}, {"why", why}});
       obs::flight(ctx, "quorum", "refused", verb + ": " + why);
-      Writer w;
-      w.str("REFUSED:" + why);
-      w.u64(0);
-      w.bytes({});
-      w.bytes({});
-      w.bytes({});
       pending_.erase(op);
-      end.send(ctx, w.take());
+      end.send(ctx, sdk::encode_counter_refusal(why));
       return;
     }
     std::string missing;

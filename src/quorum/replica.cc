@@ -1,11 +1,10 @@
 #include "quorum/quorum.h"
 
-#include "crypto/aead.h"
-#include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sgx/attested_dh.h"
 #include "util/serde.h"
 
 namespace mig::quorum {
@@ -89,29 +88,20 @@ void CounterReplica::handle_prepare(sim::ThreadCtx& ctx,
     w.str(why);
     end.send(ctx, w.take());
   };
-  Reader r(request);
-  std::string verb = r.str();
-  uint64_t counter_arg = r.u64();
-  Bytes dh_pub_e = r.bytes();
-  Bytes quote_wire = r.bytes();
-  if (!r.finish().ok()) return refuse("malformed");
+  auto req = sdk::parse_counter_request(request);
+  if (!req.ok()) return refuse("malformed");
 
-  auto quote = sgx::Quote::deserialize(quote_wire);
-  if (!quote.ok()) return refuse("bad quote");
-  ctx.sleep(2 * sim::default_cost_model().wan_latency_ns);
-  sgx::AttestationVerdict verdict =
-      ias_->verify(ctx, *quote, rng_.generate(16));
-  if (!verdict.ok) return refuse("attestation failed");
-  crypto::Digest bind = crypto::Sha256::hash(dh_pub_e);
-  if (!crypto::ct_equal(ByteSpan(verdict.report_data), ByteSpan(bind)))
-    return refuse("quote does not bind DH value");
+  auto verdict = sgx::check_quote(ctx, *ias_, rng_,
+                                  sim::default_cost_model().wan_latency_ns,
+                                  req->quote, req->dh_pub);
+  if (!verdict.ok()) return refuse(verdict.status().message());
 
   store::CounterCore::Outcome out =
-      core_.peek(verb, counter_arg, ByteSpan(verdict.mrenclave));
+      core_.peek(req->verb, req->counter_arg, ByteSpan(verdict->mrenclave));
   if (!out.granted) return refuse(out.refusal);
 
-  staged_[op] = StagedOp{verb, counter_arg, std::move(dh_pub_e),
-                         verdict.mrenclave};
+  staged_[op] = StagedOp{req->verb, req->counter_arg, std::move(req->dh_pub),
+                         verdict->mrenclave};
   obs::metrics().add("quorum.prepare_acks");
   Writer w;
   w.str("QACK");
@@ -199,14 +189,11 @@ void CounterReplica::handle_commit(sim::ThreadCtx& ctx,
   // Key exchange + signature, mirroring the single signer: the key is
   // sealed to the requester's fresh DH value, and the signed transcript
   // includes that DH value so the record can never be replayed.
-  ctx.work(sim::default_cost_model().dh_keygen_ns +
-           sim::default_cost_model().dh_shared_ns);
-  crypto::DhKeyPair kp = crypto::dh_generate(rng_);
-  auto shared =
-      crypto::dh_shared(kp.priv, crypto::BigNum::from_bytes(staged.dh_pub_e));
-  if (!shared.ok()) return;  // degenerate DH: drop (prepare already vetted)
-  Bytes session =
-      crypto::hkdf(to_bytes("qrm-channel"), *shared, staged.dh_pub_e, 32);
+  const sim::CostModel& cm = sim::default_cost_model();
+  auto answer = sgx::dh_answer(
+      rng_, [&ctx](uint64_t ns) { ctx.work(ns); },
+      sgx::DhCost::remote(cm), "qrm-channel", staged.dh_pub_e, out.key);
+  if (!answer.ok()) return;  // degenerate DH value: drop, no grant
 
   sdk::QuorumReplyRecord rec;
   rec.replica_id = id_;
@@ -216,13 +203,10 @@ void CounterReplica::handle_commit(sim::ThreadCtx& ctx,
   rec.root = crypto::digest_bytes(root);
   rec.leaf = leaf;
   for (const crypto::Digest& d : proof) rec.proof.push_back(crypto::digest_bytes(d));
-  rec.dh_pub_s = kp.pub.to_bytes_padded(128);
-  rec.enc_key = out.key.empty()
-                    ? Bytes{}
-                    : crypto::seal(crypto::CipherAlg::kChaCha20, session,
-                                   out.key);
+  rec.dh_pub_s = std::move(answer->pub);
+  rec.enc_key = std::move(answer->sealed);
 
-  ctx.work(sim::default_cost_model().sig_sign_ns);
+  ctx.work(cm.sig_sign_ns);
   Bytes sig = crypto::sig_sign(
       sig_.sk,
       sdk::quorum_reply_transcript(staged.verb, staged.dh_pub_e, rec), rng_);

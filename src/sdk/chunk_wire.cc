@@ -614,6 +614,55 @@ Result<QuorumReplyEnvelope> parse_quorum_reply(ByteSpan blob) {
   return env;
 }
 
+Result<CounterRequest> parse_counter_request(ByteSpan blob) {
+  Reader r(blob);
+  CounterRequest req;
+  req.verb = r.str();
+  req.counter_arg = r.u64();
+  req.dh_pub = r.bytes();
+  req.quote = r.bytes();
+  MIG_RETURN_IF_ERROR(r.finish());
+  return req;
+}
+
+Bytes encode_counter_grant(const CounterGrantReply& reply) {
+  Writer w;
+  w.str(reply.tag);
+  w.u64(reply.counter);
+  w.bytes(reply.dh_pub_s);
+  w.bytes(reply.enc_key);
+  w.bytes(reply.sig);
+  return w.take();
+}
+
+Bytes encode_counter_refusal(std::string_view why) {
+  return encode_counter_grant({"REFUSED:" + std::string(why), 0, {}, {}, {}});
+}
+
+Result<CounterGrantReply> parse_counter_grant(ByteSpan blob) {
+  Reader r(blob);
+  CounterGrantReply reply;
+  reply.tag = r.str();
+  reply.counter = r.u64();
+  reply.dh_pub_s = r.bytes();
+  reply.enc_key = r.bytes();
+  reply.sig = r.bytes();
+  MIG_RETURN_IF_ERROR(r.finish());
+  return reply;
+}
+
+Bytes counter_grant_transcript(std::string_view verb, ByteSpan dh_pub_e,
+                               const CounterGrantReply& reply) {
+  Writer t;
+  t.str("ctr-reply");
+  t.str(verb);
+  t.u64(reply.counter);
+  t.bytes(dh_pub_e);
+  t.bytes(reply.dh_pub_s);
+  t.bytes(reply.enc_key);
+  return t.take();
+}
+
 Bytes quorum_reply_transcript(std::string_view verb, ByteSpan dh_pub_e,
                               const QuorumReplyRecord& rec) {
   // The proof is deliberately outside the transcript: it is verified against

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -271,6 +272,39 @@ Bytes encode_page_done();
 // truncation (naming the failing record) and trailing bytes.
 Result<PageRequest> parse_page_request(ByteSpan blob);
 Result<PageReply> parse_page_reply(ByteSpan blob);
+
+// ---- counter-service protocol (store/counter_service.h) ----
+//
+//   request: bytes verb | u64 counter_arg | bytes dh_pub | bytes quote
+//   reply:   bytes tag | u64 counter | bytes dh_pub_s | bytes enc_key
+//            | bytes sig
+//
+// A grant's tag is "CTRGRANT"; a refusal's is "REFUSED:<why>" with every
+// other field zero or empty, also when the quorum coordinator forwards its
+// replicas' refusal (its grants are MGQ1 envelopes, below). The decoders
+// are structural: truncation and trailing bytes are kInvalidArgument, the
+// fields are the receiver's to judge.
+
+struct CounterRequest {
+  std::string verb;  // SEALGRANT, OPENGRANT or ADVANCE
+  uint64_t counter_arg = 0;
+  Bytes dh_pub;
+  Bytes quote;  // binds dh_pub
+};
+Result<CounterRequest> parse_counter_request(ByteSpan blob);
+
+struct CounterGrantReply {
+  std::string tag;
+  uint64_t counter = 0;
+  Bytes dh_pub_s;
+  Bytes enc_key;  // empty for ADVANCE and for refusals
+  Bytes sig;      // over counter_grant_transcript()
+};
+Bytes encode_counter_grant(const CounterGrantReply& reply);
+Bytes encode_counter_refusal(std::string_view why);
+Result<CounterGrantReply> parse_counter_grant(ByteSpan blob);
+Bytes counter_grant_transcript(std::string_view verb, ByteSpan dh_pub_e,
+                               const CounterGrantReply& reply);
 
 // ---- quorum counter service (src/quorum/) wire formats ----
 //

@@ -16,6 +16,7 @@
 #include "obs/trace.h"
 #include "sdk/builder.h"
 #include "sdk/chunk_wire.h"
+#include "sgx/attested_dh.h"
 #include "util/buffer_pool.h"
 #include "util/check.h"
 #include "util/iovec.h"
@@ -167,6 +168,28 @@ class ControlEngine {
   Bytes embedded_quorum_membership_blob() { return config_blob(4); }
 
   void wan_round_trip() { env_->ctx().sleep(2 * env_->cost().wan_latency_ns); }
+
+  // Handshake compute goes through EnclaveEnv::work, which keeps the AEX
+  // accounting.
+  sgx::Charge charge() {
+    return [this](uint64_t ns) { env_->work(ns); };
+  }
+
+  // Initiator half of a remote attested handshake: a fresh DH value and a
+  // quote binding it.
+  struct QuotedDh {
+    sgx::DhInitiator dh;
+    Bytes quote;
+  };
+  Result<QuotedDh> quoted_dh() {
+    sgx::DhInitiator dh(deps_->rng, charge(),
+                        sgx::DhCost::remote(env_->cost()));
+    MIG_ASSIGN_OR_RETURN(sgx::Report report,
+                         env_->ereport(deps_->qe->target_info(), dh.binding()));
+    MIG_ASSIGN_OR_RETURN(sgx::Quote quote,
+                         deps_->qe->quote(env_->ctx(), report));
+    return QuotedDh{std::move(dh), quote.serialize()};
+  }
 
   // Arena health for the perf dashboards: recycle rate ~1 means the hot
   // paths run allocation-free in steady state.
@@ -1290,20 +1313,26 @@ class ControlEngine {
     obs::Span<sim::ThreadCtx> span(env_->ctx(), "key_handshake.serve", "sdk");
     if (!cmd.channel.has_value())
       return fail(ErrorCode::kInvalidArgument, "no channel");
-    if (self_destroyed() || env_->read_u64(kOffKeyServed) == 1) {
-      // Single secure channel, ever: additional requests are refused.
+    // Every refusal tells the target at once, so it fails fast instead of
+    // waiting out its channel timeout.
+    auto refuse = [&](ErrorCode code, std::string msg) {
       cmd.channel->send(env_->ctx(), to_bytes("REFUSE"));
-      return fail(ErrorCode::kAborted, "key already served once");
-    }
+      return fail(code, std::move(msg));
+    };
+    // Single secure channel, ever: additional requests are refused.
+    if (self_destroyed() || env_->read_u64(kOffKeyServed) == 1)
+      return refuse(ErrorCode::kAborted, "key already served once");
     // A cancelled (or never-prepared) migration leaves Kmigrate zeroed; a
     // zeroed key must never be served — the checkpoint it sealed is dead and
     // self-destroying here would kill the one live copy of the enclave.
-    Bytes armed = env_->read_bytes(kOffKmigrate, 32);
-    if (std::all_of(armed.begin(), armed.end(),
-                    [](uint8_t b) { return b == 0; })) {
-      cmd.channel->send(env_->ctx(), to_bytes("REFUSE"));
-      return fail(ErrorCode::kFailedPrecondition, "no migration key armed");
-    }
+    Bytes kmigrate = env_->read_bytes(kOffKmigrate, 32);
+    if (std::all_of(kmigrate.begin(), kmigrate.end(),
+                    [](uint8_t b) { return b == 0; }))
+      return refuse(ErrorCode::kFailedPrecondition, "no migration key armed");
+    // Without the identity key the reply cannot be signed.
+    if (env_->read_u64(kOffProvisioned) != 1)
+      return refuse(ErrorCode::kFailedPrecondition,
+                    "identity key not provisioned");
     std::optional<Bytes> req_in =
         cmd.channel->recv_timeout(env_->ctx(), cmd.channel_timeout_ns);
     if (!req_in.has_value()) {
@@ -1316,65 +1345,36 @@ class ControlEngine {
     std::string tag = r.str();
     Bytes dh_pub_t = r.bytes();
     Bytes quote_wire = r.bytes();
-    if (!r.finish().ok() || tag != "KEYREQ") {
-      cmd.channel->send(env_->ctx(), to_bytes("REFUSE"));
-      return fail(ErrorCode::kInvalidArgument, "malformed key request");
-    }
+    if (!r.finish().ok() || tag != "KEYREQ")
+      return refuse(ErrorCode::kInvalidArgument, "malformed key request");
 
     // Remote attestation of the target enclave, without the owner (§III
-    // Step-2): verify the quote through the attestation service, check that
-    // the attested enclave is *the same enclave* (same MRENCLAVE) and that
-    // the quote binds the DH public value.
-    auto quote = sgx::Quote::deserialize(quote_wire);
-    if (!quote.ok()) {
-      cmd.channel->send(env_->ctx(), to_bytes("REFUSE"));
-      return fail(ErrorCode::kAuthFailure, "undecodable quote");
-    }
-    wan_round_trip();
-    Bytes nonce = deps_->rng.generate(16);
-    sgx::AttestationVerdict verdict =
-        deps_->ias->verify(env_->ctx(), *quote, nonce);
-    if (!sgx::AttestationService::check_verdict(verdict, embedded_ias_pk()) ||
-        !verdict.ok) {
-      cmd.channel->send(env_->ctx(), to_bytes("REFUSE"));
-      return fail(ErrorCode::kAuthFailure, "attestation failed");
-    }
-    // Accept the same enclave (same MRENCLAVE) or, when the §VI-D agent
-    // optimization is in use, a developer agent (same MRSIGNER).
-    bool same_enclave = crypto::ct_equal(verdict.mrenclave, own_mrenclave());
+    // Step-2): the quote must verify through the attestation service under
+    // the IAS key baked into our image and bind the DH value; the attested
+    // enclave must be *the same enclave* (same MRENCLAVE) or, when the §VI-D
+    // agent optimization is in use, a developer agent (same MRSIGNER).
+    crypto::BigNum ias_pk = embedded_ias_pk();
+    auto verdict = sgx::check_quote(env_->ctx(), *deps_->ias, deps_->rng,
+                                    env_->cost().wan_latency_ns, quote_wire,
+                                    dh_pub_t, &ias_pk);
+    if (!verdict.ok())
+      return refuse(verdict.status().code(), verdict.status().message());
+    bool same_enclave = crypto::ct_equal(verdict->mrenclave, own_mrenclave());
     bool developer_agent = cmd.allow_agent_recipient &&
-                           crypto::ct_equal(verdict.mrsigner, own_mrsigner());
-    if (!same_enclave && !developer_agent) {
-      cmd.channel->send(env_->ctx(), to_bytes("REFUSE"));
-      return fail(ErrorCode::kAuthFailure,
-                  "target enclave measurement differs");
-    }
-    crypto::Digest bind = crypto::Sha256::hash(dh_pub_t);
-    if (!crypto::ct_equal(ByteSpan(verdict.report_data), ByteSpan(bind))) {
-      cmd.channel->send(env_->ctx(), to_bytes("REFUSE"));
-      return fail(ErrorCode::kAuthFailure, "quote does not bind DH value");
-    }
+                           crypto::ct_equal(verdict->mrsigner, own_mrsigner());
+    if (!same_enclave && !developer_agent)
+      return refuse(ErrorCode::kAuthFailure,
+                    "target enclave measurement differs");
 
     // Diffie-Hellman: derive the session key; encrypt Kmigrate under it and
     // authenticate the message with the enclave identity key so the target
     // can authenticate the source (§V-B "the target authenticates the
     // source").
-    env_->work(env_->cost().dh_keygen_ns + env_->cost().dh_shared_ns);
-    crypto::DhKeyPair kp = crypto::dh_generate(deps_->rng);
-    auto shared = crypto::dh_shared(kp.priv, crypto::BigNum::from_bytes(dh_pub_t));
-    if (!shared.ok()) {
-      cmd.channel->send(env_->ctx(), to_bytes("REFUSE"));
-      return fail(ErrorCode::kAuthFailure, "degenerate DH value");
-    }
-    Bytes dh_pub_s = kp.pub.to_bytes_padded(128);
-    Bytes session = crypto::hkdf(to_bytes("mig-channel"), *shared,
-                                 dh_pub_t, 32);
-    Bytes kmigrate = env_->read_bytes(kOffKmigrate, 32);
-    Bytes enc = crypto::seal(crypto::CipherAlg::kChaCha20, session, kmigrate);
-
-    if (env_->read_u64(kOffProvisioned) != 1)
-      return fail(ErrorCode::kFailedPrecondition,
-                  "identity key not provisioned");
+    auto answer =
+        sgx::dh_answer(deps_->rng, charge(), sgx::DhCost::remote(env_->cost()),
+                       "mig-channel", dh_pub_t, kmigrate);
+    if (!answer.ok())
+      return refuse(ErrorCode::kAuthFailure, "degenerate DH value");
     crypto::BigNum sk = crypto::BigNum::from_bytes(
         env_->read_bytes(kOffIdentityPriv, 160));
     // The reply carries the source's measurement (public) inside the signed
@@ -1383,16 +1383,16 @@ class ControlEngine {
     crypto::Digest own_mre = own_mrenclave();
     Writer transcript;
     transcript.bytes(dh_pub_t);
-    transcript.bytes(dh_pub_s);
-    transcript.bytes(enc);
+    transcript.bytes(answer->pub);
+    transcript.bytes(answer->sealed);
     transcript.raw(own_mre);
     env_->work(env_->cost().sig_sign_ns);
     Bytes sig = crypto::sig_sign(sk, transcript.data(), deps_->rng);
 
     Writer reply_msg;
     reply_msg.str("KEYREP");
-    reply_msg.bytes(dh_pub_s);
-    reply_msg.bytes(enc);
+    reply_msg.bytes(answer->pub);
+    reply_msg.bytes(answer->sealed);
     reply_msg.raw(own_mre);
     reply_msg.bytes(sig);
     cmd.channel->send(env_->ctx(), reply_msg.take());
@@ -1509,18 +1509,12 @@ class ControlEngine {
                                 bool check_source_mre = true,
                                 crypto::Digest* source_mre_out = nullptr) {
     obs::Span<sim::ThreadCtx> span(env_->ctx(), "key_handshake.fetch", "sdk");
-    env_->work(env_->cost().dh_keygen_ns);
-    crypto::DhKeyPair kp = crypto::dh_generate(deps_->rng);
-    Bytes dh_pub_t = kp.pub.to_bytes_padded(128);
-    crypto::Digest bind = crypto::Sha256::hash(dh_pub_t);
-    MIG_ASSIGN_OR_RETURN(sgx::Report report,
-                         env_->ereport(deps_->qe->target_info(), bind));
-    MIG_ASSIGN_OR_RETURN(sgx::Quote quote,
-                         deps_->qe->quote(env_->ctx(), report));
+    MIG_ASSIGN_OR_RETURN(QuotedDh q, quoted_dh());
+    const Bytes& dh_pub_t = q.dh.pub();
     Writer req;
     req.str("KEYREQ");
     req.bytes(dh_pub_t);
-    req.bytes(quote.serialize());
+    req.bytes(q.quote);
     ch.send(env_->ctx(), req.take());
 
     std::optional<Bytes> reply_in = ch.recv_timeout(env_->ctx(), timeout_ns);
@@ -1528,10 +1522,11 @@ class ControlEngine {
       return Error(ErrorCode::kDeadlineExceeded,
                    "source never answered the key request");
     Bytes reply = std::move(*reply_in);
+    // The refusal is the bare bytes "REFUSE", not a length-prefixed tag.
+    if (reply == to_bytes("REFUSE"))
+      return Error(ErrorCode::kAborted, "source refused key exchange");
     Reader r(reply);
     std::string tag = r.str();
-    if (tag == "REFUSE")
-      return Error(ErrorCode::kAborted, "source refused key exchange");
     Bytes dh_pub_s = r.bytes();
     Bytes enc = r.bytes();
     Bytes src_mre = r.raw(32);
@@ -1552,12 +1547,7 @@ class ControlEngine {
     if (check_source_mre &&
         !crypto::ct_equal(ByteSpan(src_mre), ByteSpan(own_mrenclave())))
       return Error(ErrorCode::kAuthFailure, "key is for a different enclave");
-    env_->work(env_->cost().dh_shared_ns);
-    MIG_ASSIGN_OR_RETURN(
-        Bytes shared,
-        crypto::dh_shared(kp.priv, crypto::BigNum::from_bytes(dh_pub_s)));
-    Bytes session = crypto::hkdf(to_bytes("mig-channel"), shared, dh_pub_t, 32);
-    MIG_ASSIGN_OR_RETURN(Bytes key, crypto::open(session, enc));
+    MIG_ASSIGN_OR_RETURN(Bytes key, q.dh.open("mig-channel", dh_pub_s, enc));
     if (source_mre_out != nullptr)
       std::copy(src_mre.begin(), src_mre.end(), source_mre_out->begin());
     return key;
@@ -1565,21 +1555,14 @@ class ControlEngine {
 
   Result<Bytes> key_from_agent(AgentPort& agent) {
     obs::Span<sim::ThreadCtx> span(env_->ctx(), "key_handshake.agent", "sdk");
-    env_->work(env_->cost().local_attest_dh_ns);
-    crypto::DhKeyPair kp = crypto::dh_generate(deps_->rng);
-    Bytes dh_pub = kp.pub.to_bytes_padded(128);
-    crypto::Digest bind = crypto::Sha256::hash(dh_pub);
+    sgx::DhInitiator dh(deps_->rng, charge(),
+                        sgx::DhCost::local(env_->cost()));
     MIG_ASSIGN_OR_RETURN(sgx::Report report,
-                         env_->ereport(agent.target_info(), bind));
-    AgentPort::Request req{report, dh_pub};
+                         env_->ereport(agent.target_info(), dh.binding()));
+    AgentPort::Request req{report, dh.pub()};
     AgentPort::Response resp = agent.request(env_->ctx(), req);
     MIG_RETURN_IF_ERROR(resp.status);
-    env_->work(env_->cost().local_attest_dh_ns);
-    MIG_ASSIGN_OR_RETURN(
-        Bytes shared,
-        crypto::dh_shared(kp.priv, crypto::BigNum::from_bytes(resp.dh_pub)));
-    Bytes session = crypto::hkdf(to_bytes("agent-channel"), shared, dh_pub, 32);
-    return crypto::open(session, resp.enc_kmigrate);
+    return dh.open("agent-channel", resp.dh_pub, resp.enc_kmigrate);
   }
 
   // ---- kFinishRestore (§IV-C Step-4) -----------------------------------------
@@ -1641,18 +1624,11 @@ class ControlEngine {
   // ---- owner-keyed checkpoint/resume (§V-C) -----------------------------------
   Result<Bytes> owner_key_exchange(sim::Channel::End& ch, std::string_view verb,
                                    uint64_t timeout_ns) {
-    env_->work(env_->cost().dh_keygen_ns);
-    crypto::DhKeyPair kp = crypto::dh_generate(deps_->rng);
-    Bytes dh_pub = kp.pub.to_bytes_padded(128);
-    crypto::Digest bind = crypto::Sha256::hash(dh_pub);
-    MIG_ASSIGN_OR_RETURN(sgx::Report report,
-                         env_->ereport(deps_->qe->target_info(), bind));
-    MIG_ASSIGN_OR_RETURN(sgx::Quote quote,
-                         deps_->qe->quote(env_->ctx(), report));
+    MIG_ASSIGN_OR_RETURN(QuotedDh q, quoted_dh());
     Writer req;
     req.str(std::string(verb));
-    req.bytes(dh_pub);
-    req.bytes(quote.serialize());
+    req.bytes(q.dh.pub());
+    req.bytes(q.quote);
     wan_round_trip();
     ch.send(env_->ctx(), req.take());
     std::optional<Bytes> reply_in = ch.recv_timeout(env_->ctx(), timeout_ns);
@@ -1666,12 +1642,7 @@ class ControlEngine {
     MIG_RETURN_IF_ERROR(r.finish());
     if (tag != "OWNERKEY")
       return Error(ErrorCode::kAuthFailure, "owner refused: " + tag);
-    env_->work(env_->cost().dh_shared_ns);
-    MIG_ASSIGN_OR_RETURN(
-        Bytes shared,
-        crypto::dh_shared(kp.priv, crypto::BigNum::from_bytes(dh_pub_o)));
-    Bytes session = crypto::hkdf(to_bytes("owner-channel"), shared, dh_pub, 32);
-    return crypto::open(session, enc);
+    return q.dh.open("owner-channel", dh_pub_o, enc);
   }
 
   ControlReply owner_checkpoint(ControlCmd& cmd) {
@@ -1726,19 +1697,12 @@ class ControlEngine {
     if (pk_blob.empty() && membership_blob.empty())
       return Error(ErrorCode::kFailedPrecondition,
                    "image built without a counter-service key");
-    env_->work(env_->cost().dh_keygen_ns);
-    crypto::DhKeyPair kp = crypto::dh_generate(deps_->rng);
-    Bytes dh_pub = kp.pub.to_bytes_padded(128);
-    crypto::Digest bind = crypto::Sha256::hash(dh_pub);
-    MIG_ASSIGN_OR_RETURN(sgx::Report report,
-                         env_->ereport(deps_->qe->target_info(), bind));
-    MIG_ASSIGN_OR_RETURN(sgx::Quote quote,
-                         deps_->qe->quote(env_->ctx(), report));
+    MIG_ASSIGN_OR_RETURN(QuotedDh q, quoted_dh());
     Writer req;
     req.str(std::string(verb));
     req.u64(counter_arg);
-    req.bytes(dh_pub);
-    req.bytes(quote.serialize());
+    req.bytes(q.dh.pub());
+    req.bytes(q.quote);
     wan_round_trip();
     ch.send(env_->ctx(), req.take());
     std::optional<Bytes> reply_in = ch.recv_timeout(env_->ctx(), timeout_ns);
@@ -1747,40 +1711,39 @@ class ControlEngine {
                    "counter service never answered");
     Bytes reply = std::move(*reply_in);
     if (!membership_blob.empty())
-      return verify_quorum_grant(reply, verb, dh_pub, kp, membership_blob);
-    Reader r(reply);
-    std::string tag = r.str();
-    uint64_t counter = r.u64();
-    Bytes dh_pub_s = r.bytes();
-    Bytes enc = r.bytes();
-    Bytes sig = r.bytes();
-    MIG_RETURN_IF_ERROR(r.finish());
-    if (tag != "CTRGRANT")
-      return Error(ErrorCode::kPermissionDenied,
-                   "counter service refused: " + tag);
-    Writer transcript;
-    transcript.str("ctr-reply");
-    transcript.str(std::string(verb));
-    transcript.u64(counter);
-    transcript.bytes(dh_pub);
-    transcript.bytes(dh_pub_s);
-    transcript.bytes(enc);
+      return verify_quorum_grant(reply, verb, q.dh, membership_blob);
+    MIG_ASSIGN_OR_RETURN(CounterGrantReply rep, parse_granted(reply));
     env_->work(env_->cost().sig_verify_ns);
     if (!crypto::sig_verify(crypto::BigNum::from_bytes(pk_blob),
-                            transcript.data(), sig))
+                            counter_grant_transcript(verb, q.dh.pub(), rep),
+                            rep.sig))
       return Error(ErrorCode::kAuthFailure,
                    "counter-service signature invalid");
-    if (counter == 0)
+    if (rep.counter == 0)
       return Error(ErrorCode::kAuthFailure, "counter 0 is never granted");
+    return open_grant(q.dh, "ctr-channel", rep.counter, rep.dh_pub_s,
+                      rep.enc_key);
+  }
+
+  // A well-formed counter reply that is not a CTRGRANT is the service's
+  // refusal (kPermissionDenied, which the callers treat as a lost lease).
+  static Result<CounterGrantReply> parse_granted(ByteSpan reply) {
+    MIG_ASSIGN_OR_RETURN(CounterGrantReply rep, parse_counter_grant(reply));
+    if (rep.tag != "CTRGRANT")
+      return Error(ErrorCode::kPermissionDenied,
+                   "counter service refused: " + rep.tag);
+    return rep;
+  }
+
+  // Key-open tail shared by both grant formats: a grant without a sealed key
+  // (ADVANCE) costs no DH work.
+  Result<CounterGrant> open_grant(const sgx::DhInitiator& dh,
+                                  std::string_view label, uint64_t counter,
+                                  ByteSpan dh_pub_s, ByteSpan enc_key) {
     CounterGrant grant;
     grant.counter = counter;
-    if (!enc.empty()) {
-      env_->work(env_->cost().dh_shared_ns);
-      MIG_ASSIGN_OR_RETURN(
-          Bytes shared,
-          crypto::dh_shared(kp.priv, crypto::BigNum::from_bytes(dh_pub_s)));
-      Bytes session = crypto::hkdf(to_bytes("ctr-channel"), shared, dh_pub, 32);
-      MIG_ASSIGN_OR_RETURN(grant.key, crypto::open(session, enc));
+    if (!enc_key.empty()) {
+      MIG_ASSIGN_OR_RETURN(grant.key, dh.open(label, dh_pub_s, enc_key));
     }
     return grant;
   }
@@ -1796,8 +1759,7 @@ class ControlEngine {
   // quorum of their own.
   Result<CounterGrant> verify_quorum_grant(const Bytes& reply,
                                            std::string_view verb,
-                                           const Bytes& dh_pub,
-                                           const crypto::DhKeyPair& kp,
+                                           const sgx::DhInitiator& dh,
                                            const Bytes& membership_blob) {
     auto membership = parse_quorum_membership(membership_blob);
     if (!membership.ok())
@@ -1810,16 +1772,7 @@ class ControlEngine {
       // dropping our traffic could not. A single-signer CTRGRANT, however,
       // can never satisfy the pinned membership: reject it outright so a
       // compromised operator cannot downgrade us to one signer.
-      Reader r(reply);
-      std::string tag = r.str();
-      r.u64();
-      r.bytes();
-      r.bytes();
-      r.bytes();
-      MIG_RETURN_IF_ERROR(r.finish());
-      if (tag != "CTRGRANT")
-        return Error(ErrorCode::kPermissionDenied,
-                     "counter service refused: " + tag);
+      MIG_RETURN_IF_ERROR(parse_granted(reply).status());
       return Error(ErrorCode::kAuthFailure,
                    "single-signer grant rejected: enclave pins a replica quorum");
     }
@@ -1835,7 +1788,7 @@ class ControlEngine {
         if (m.id == rec.replica_id) member = &m;
       if (member == nullptr) continue;  // unpinned replica: ignore
       env_->work(env_->cost().sig_verify_ns);
-      Bytes transcript = quorum_reply_transcript(verb, dh_pub, rec);
+      Bytes transcript = quorum_reply_transcript(verb, dh.pub(), rec);
       if (!crypto::sig_verify(crypto::BigNum::from_bytes(member->pk),
                               transcript, env.sigs[i]))
         continue;
@@ -1877,16 +1830,9 @@ class ControlEngine {
     // quorum match); decrypt from the first and check it against the
     // co-signed commitment before trusting it.
     const QuorumReplyRecord& rec = *winners.front();
-    CounterGrant grant;
-    grant.counter = rec.counter;
-    if (!rec.enc_key.empty()) {
-      env_->work(env_->cost().dh_shared_ns);
-      MIG_ASSIGN_OR_RETURN(
-          Bytes shared,
-          crypto::dh_shared(kp.priv, crypto::BigNum::from_bytes(rec.dh_pub_s)));
-      Bytes session = crypto::hkdf(to_bytes("qrm-channel"), shared, dh_pub, 32);
-      MIG_ASSIGN_OR_RETURN(grant.key, crypto::open(session, rec.enc_key));
-    }
+    MIG_ASSIGN_OR_RETURN(CounterGrant grant,
+                         open_grant(dh, "qrm-channel", rec.counter,
+                                    rec.dh_pub_s, rec.enc_key));
     crypto::Digest commit = crypto::Sha256::hash(grant.key);
     if (!crypto::ct_equal(ByteSpan(commit), ByteSpan(rec.key_commit)))
       return Error(ErrorCode::kAuthFailure,
@@ -2045,18 +1991,9 @@ class ControlEngine {
       return fail(ErrorCode::kAuthFailure, "report not targeted at agent");
     if (!crypto::ct_equal(req.report.mrsigner, own_mrsigner()))
       return fail(ErrorCode::kAuthFailure, "requester has foreign signer");
-    crypto::Digest bind = crypto::Sha256::hash(req.dh_pub);
-    if (!crypto::ct_equal(ByteSpan(req.report.report_data), ByteSpan(bind)))
+    if (!sgx::binds_dh(req.report.report_data, req.dh_pub))
       return fail(ErrorCode::kAuthFailure, "report does not bind DH value");
 
-    env_->work(2 * env_->cost().local_attest_dh_ns);
-    crypto::DhKeyPair kp = crypto::dh_generate(deps_->rng);
-    auto shared =
-        crypto::dh_shared(kp.priv, crypto::BigNum::from_bytes(req.dh_pub));
-    if (!shared.ok()) return fail(ErrorCode::kAuthFailure, "degenerate DH");
-    Bytes dh_pub_a = kp.pub.to_bytes_padded(128);
-    Bytes session = crypto::hkdf(to_bytes("agent-channel"), *shared,
-                                 req.dh_pub, 32);
     // Look the key up by the requester's measurement.
     Bytes kmigrate;
     uint64_t n = env_->read_u64(kOffAgentHasKey);
@@ -2067,12 +2004,16 @@ class ControlEngine {
         break;
       }
     }
+    auto answer =
+        sgx::dh_answer(deps_->rng, charge(), sgx::DhCost::local(env_->cost()),
+                       "agent-channel", req.dh_pub, kmigrate);
+    if (!answer.ok()) return fail(ErrorCode::kAuthFailure, "degenerate DH");
     if (kmigrate.empty())
       return fail(ErrorCode::kNotFound, "no key parked for this enclave");
     ControlReply reply;
     Writer w;
-    w.bytes(dh_pub_a);
-    w.bytes(crypto::seal(crypto::CipherAlg::kChaCha20, session, kmigrate));
+    w.bytes(answer->pub);
+    w.bytes(answer->sealed);
     reply.blob = w.take();
     return reply;
   }

@@ -1,11 +1,11 @@
 #include "store/counter_service.h"
 
-#include "crypto/aead.h"
 #include "crypto/hmac.h"
-#include "crypto/sha256.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sdk/chunk_wire.h"
+#include "sgx/attested_dh.h"
 #include "util/serde.h"
 
 namespace mig::store {
@@ -147,82 +147,48 @@ void CounterService::serve_one(sim::ThreadCtx& ctx, sim::Channel::End end) {
 
   obs::Span<sim::ThreadCtx> span(ctx, "store.counter.serve", "store");
   obs::metrics().add("store.counter.requests");
-  Reader r(request);
-  std::string verb = r.str();
-  uint64_t counter_arg = r.u64();
-  Bytes dh_pub_e = r.bytes();
-  Bytes quote_wire = r.bytes();
   auto refuse = [&](std::string why) {
     obs::instant(ctx, "store.counter.refused", "store", {{"why", why}});
     obs::metrics().add("store.counter.refusals");
     obs::flight(ctx, "store.counter", "refused", why);
-    Writer w;
-    w.str("REFUSED:" + why);
-    w.u64(0);
-    w.bytes({});
-    w.bytes({});
-    w.bytes({});
-    end.send(ctx, w.take());
+    end.send(ctx, sdk::encode_counter_refusal(why));
   };
-  if (!r.finish().ok()) return refuse("malformed");
+  auto req = sdk::parse_counter_request(request);
+  if (!req.ok()) return refuse("malformed");
+  const std::string& verb = req->verb;
 
-  auto quote = sgx::Quote::deserialize(quote_wire);
-  if (!quote.ok()) return refuse("bad quote");
-  ctx.sleep(2 * sim::default_cost_model().wan_latency_ns);
-  sgx::AttestationVerdict verdict =
-      ias_->verify(ctx, *quote, rng_.generate(16));
-  if (!verdict.ok) return refuse("attestation failed");
-  crypto::Digest bind = crypto::Sha256::hash(dh_pub_e);
-  if (!crypto::ct_equal(ByteSpan(verdict.report_data), ByteSpan(bind)))
-    return refuse("quote does not bind DH value");
+  const sim::CostModel& cm = sim::default_cost_model();
+  auto verdict = sgx::check_quote(ctx, *ias_, rng_, cm.wan_latency_ns,
+                                  req->quote, req->dh_pub);
+  if (!verdict.ok()) return refuse(verdict.status().message());
 
   CounterCore::Outcome out =
-      core_.apply(verb, counter_arg, ByteSpan(verdict.mrenclave));
+      core_.apply(verb, req->counter_arg, ByteSpan(verdict->mrenclave));
   if (!out.granted) return refuse(out.refusal);
   if (verb == "ADVANCE") {
     obs::metrics().add("store.counter.advances");
   } else {
     obs::metrics().add("store.counter.grants");
   }
-  uint64_t reply_counter = out.counter;
   audit_.push_back(
-      CounterAuditEntry{verb, verdict.mrenclave, out.counter, ctx.now()});
+      CounterAuditEntry{verb, verdict->mrenclave, out.counter, ctx.now()});
   obs::instant(ctx, "store.counter.granted", "store",
-               {{"verb", verb}, {"counter", reply_counter}});
+               {{"verb", verb}, {"counter", out.counter}});
 
-  ctx.work(sim::default_cost_model().dh_keygen_ns +
-           sim::default_cost_model().dh_shared_ns);
-  crypto::DhKeyPair kp = crypto::dh_generate(rng_);
-  auto shared =
-      crypto::dh_shared(kp.priv, crypto::BigNum::from_bytes(dh_pub_e));
-  if (!shared.ok()) return refuse("degenerate DH value");
-  Bytes session = crypto::hkdf(to_bytes("ctr-channel"), *shared, dh_pub_e, 32);
-  Bytes dh_pub_s = kp.pub.to_bytes_padded(128);
-  Bytes enc_key =
-      out.key.empty()
-          ? Bytes{}
-          : crypto::seal(crypto::CipherAlg::kChaCha20, session, out.key);
+  auto answer = sgx::dh_answer(
+      rng_, [&ctx](uint64_t ns) { ctx.work(ns); },
+      sgx::DhCost::remote(cm), "ctr-channel", req->dh_pub, out.key);
+  if (!answer.ok()) return refuse("degenerate DH value");
+  sdk::CounterGrantReply reply{"CTRGRANT", out.counter, std::move(answer->pub),
+                               std::move(answer->sealed), {}};
 
   // Sign the whole transcript. dh_pub_e is fresh per request, so the
   // signature doubles as the anti-replay binding: a recorded CTRGRANT for an
   // old counter value verifies against no other request.
-  Writer transcript;
-  transcript.str("ctr-reply");
-  transcript.str(verb);
-  transcript.u64(reply_counter);
-  transcript.bytes(dh_pub_e);
-  transcript.bytes(dh_pub_s);
-  transcript.bytes(enc_key);
-  ctx.work(sim::default_cost_model().sig_sign_ns);
-  Bytes sig = crypto::sig_sign(sig_.sk, transcript.data(), rng_);
-
-  Writer w;
-  w.str("CTRGRANT");
-  w.u64(reply_counter);
-  w.bytes(dh_pub_s);
-  w.bytes(enc_key);
-  w.bytes(sig);
-  end.send(ctx, w.take());
+  ctx.work(cm.sig_sign_ns);
+  reply.sig = crypto::sig_sign(
+      sig_.sk, sdk::counter_grant_transcript(verb, req->dh_pub, reply), rng_);
+  end.send(ctx, sdk::encode_counter_grant(reply));
 }
 
 }  // namespace mig::store

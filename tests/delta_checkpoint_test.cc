@@ -491,6 +491,55 @@ TEST(ChunkWireNegative, ZeroLengthBlobIsRefusedByEveryDecoder) {
   EXPECT_FALSE(sdk::parse_page_reply(empty).ok());
 }
 
+TEST(ChunkWireNegative, CounterProtocolDecodersRefuseHostileFraming) {
+  // Positive controls first: a well-formed request and grant round-trip.
+  Writer rq;
+  rq.str("OPENGRANT");
+  rq.u64(7);
+  rq.bytes(Bytes(128, 0x42));
+  rq.bytes(to_bytes("quote-bytes"));
+  Bytes request = rq.take();
+  auto req = sdk::parse_counter_request(request);
+  ASSERT_TRUE(req.ok()) << req.status().to_string();
+  EXPECT_EQ(req->verb, "OPENGRANT");
+  EXPECT_EQ(req->counter_arg, 7u);
+  EXPECT_EQ(req->dh_pub, Bytes(128, 0x42));
+  EXPECT_EQ(req->quote, to_bytes("quote-bytes"));
+
+  sdk::CounterGrantReply grant{"CTRGRANT", 8, Bytes(128, 0x17),
+                               to_bytes("sealed"), to_bytes("sig")};
+  Bytes reply = sdk::encode_counter_grant(grant);
+  auto got = sdk::parse_counter_grant(reply);
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+  EXPECT_EQ(sdk::encode_counter_grant(*got), reply);
+  auto refusal = sdk::parse_counter_grant(sdk::encode_counter_refusal("no"));
+  ASSERT_TRUE(refusal.ok());
+  EXPECT_EQ(refusal->tag, "REFUSED:no");
+  EXPECT_EQ(refusal->counter, 0u);
+  EXPECT_TRUE(refusal->enc_key.empty());
+
+  // Zero length.
+  Bytes empty;
+  EXPECT_FALSE(sdk::parse_counter_request(empty).ok());
+  EXPECT_FALSE(sdk::parse_counter_grant(empty).ok());
+  // Truncation at every length short of the whole message.
+  for (size_t n = 0; n < request.size(); ++n)
+    EXPECT_FALSE(sdk::parse_counter_request(ByteSpan(request).first(n)).ok())
+        << "request truncated to " << n;
+  for (size_t n = 0; n < reply.size(); ++n)
+    EXPECT_FALSE(sdk::parse_counter_grant(ByteSpan(reply).first(n)).ok())
+        << "reply truncated to " << n;
+  // Trailing bytes.
+  Bytes long_request = request;
+  long_request.push_back(0);
+  auto trailing_req = sdk::parse_counter_request(long_request);
+  EXPECT_EQ(trailing_req.status().code(), ErrorCode::kInvalidArgument);
+  Bytes long_reply = reply;
+  long_reply.push_back(0);
+  auto trailing_reply = sdk::parse_counter_grant(long_reply);
+  EXPECT_EQ(trailing_reply.status().code(), ErrorCode::kInvalidArgument);
+}
+
 TEST(ChunkWireNegative, DuplicateChunkIndexIsRefused) {
   sdk::ChunkedHeader h;
   h.chunk_bytes = 16;

@@ -224,6 +224,11 @@ struct MatrixCase {
   Survivor survivor;
 };
 
+// gtest's default printer dumps the raw bytes, which include the two string
+// pointers and so change with every process; that dump lands in the ctest
+// name. Print the stage instead so the names are stable.
+void PrintTo(const MatrixCase& mc, std::ostream* os) { *os << mc.stage; }
+
 class FaultMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(FaultMatrix, TerminalStateIsExact) {
@@ -397,7 +402,7 @@ INSTANTIATE_TEST_SUITE_P(
         // Attestation sabotage: the KEYREQ quote is corrupted in flight.
         // The source enclave refuses to serve, the target cannot restore,
         // and the committed VM leaves no runnable enclave anywhere.
-        MatrixCase{"attestation_corrupt", "attestation / key exchange",
+        MatrixCase{"attestation_corrupt", "KEYREQ attestation",
                    Via::kHandshake, /*a_to_b=*/false, Kind::kCorrupt,
                    /*tag=*/0, false, false, ErrorCode::kAborted,
                    Survivor::kNeither},

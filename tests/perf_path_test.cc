@@ -9,9 +9,13 @@
 //  * SpscRing — wrap-around, full/empty, move-only payloads, and a real
 //    std::thread producer/consumer race (the leg TSan exercises);
 //  * BufferPool — recycle accounting, high-water, take(), free-list cap;
-//  * ByteChain — inline-segment merging, exact sizes, reference semantics.
+//  * ByteChain — inline-segment merging, exact sizes, reference semantics;
+//  * golden handshake pins — every attested key-exchange message, driven
+//    end to end from fixed seeds, frozen by hash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <numeric>
 #include <thread>
 
@@ -19,7 +23,16 @@
 #include "crypto/drbg.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "guestos/guest_os.h"
+#include "hv/machine.h"
+#include "migration/owner.h"
+#include "migration/session.h"
+#include "quorum/quorum.h"
+#include "sdk/builder.h"
 #include "sdk/chunk_wire.h"
+#include "sdk/host.h"
+#include "store/counter_service.h"
+#include "store/snapshot_store.h"
 #include "util/buffer_pool.h"
 #include "util/iovec.h"
 #include "util/serde.h"
@@ -151,6 +164,235 @@ TEST(PerfPathGoldenWire, V4PageRequestReplyBytesArePinned) {
   EXPECT_EQ(wire.size(), 8513u);
   EXPECT_EQ(hash_hex(wire),
             "9f4f728887d125f1791c1c37ea9685b2d191a6367bd6a38b46432944625a6215");
+}
+
+// ---------------------------------------------------------------------------
+// Golden handshake bytes. Every attested key exchange is driven end to end
+// from fixed seeds — owner provisioning, the migration key, single-signer
+// counter grants and refusals, a quorum grant envelope, and the agent's
+// local-attestation exchange — and each message is pinned as
+// "<tag>/<size>/<first 16 hex of its SHA-256>". A refactor of the handshake
+// code must reproduce every one of them.
+// ---------------------------------------------------------------------------
+
+// Leading length-prefixed string of a handshake message, or its 4-byte magic
+// when it has none (the MGQ1 envelope), or "bin".
+std::string wire_tag(ByteSpan m) {
+  auto printable = [](const std::string& s) {
+    return !s.empty() && std::all_of(s.begin(), s.end(), [](char c) {
+      return std::isalnum(static_cast<unsigned char>(c)) || c == ':' ||
+             c == ' ' || c == '-';
+    });
+  };
+  Reader r(m);
+  std::string tag = r.str();
+  if (r.ok() && tag.size() <= 48 && printable(tag)) return tag;
+  std::string magic(m.begin(), m.begin() + std::min<size_t>(4, m.size()));
+  return printable(magic) ? magic : "bin";
+}
+
+// Records every message sent over any channel the world creates from now
+// on, both directions, in send order.
+class HandshakeLog {
+ public:
+  explicit HandshakeLog(hv::World& world) {
+    world.set_channel_interceptor([this](sim::Channel& ch) {
+      ch.a_to_b().set_tap([this](Bytes& m) { note(m); });
+      ch.b_to_a().set_tap([this](Bytes& m) { note(m); });
+    });
+  }
+  // `tag` names messages that carry no tag of their own.
+  void note(const Bytes& m, std::string tag = "") {
+    if (tag.empty()) tag = wire_tag(m);
+    pins_.push_back(tag + "/" + std::to_string(m.size()) + "/" +
+                    hash_hex(m).substr(0, 16));
+  }
+  const std::vector<std::string>& pins() const { return pins_; }
+
+ private:
+  std::vector<std::string> pins_;
+};
+
+struct HandshakeBed {
+  hv::World world{4};
+  hv::Machine* source = &world.add_machine("src");
+  hv::Machine* target = &world.add_machine("dst");
+  hv::Vm vm{hv::VmConfig{}, hv::DirtyModel{}};
+  guestos::GuestOs guest{*source, vm};
+  guestos::Process* process = &guest.create_process("app");
+  crypto::Drbg rng{to_bytes("golden-handshake")};
+  crypto::SigKeyPair signer = [] {
+    crypto::Drbg r(to_bytes("dev"));
+    return crypto::sig_keygen(r);
+  }();
+  migration::EnclaveOwner owner{world.ias(), crypto::Drbg(to_bytes("own"))};
+  store::CounterService counters{world.ias(), crypto::Drbg(to_bytes("ctr"))};
+  quorum::QuorumCounterService quorum{world.executor(), world.ias(),
+                                      crypto::Drbg(to_bytes("qrm")), 3};
+  store::SealedSnapshotStore snapshots;
+  migration::EnclaveMigrator migrator{world};
+
+  std::unique_ptr<EnclaveHost> make_host(bool quorum_pinned = false) {
+    BuildInput in;
+    in.program = std::make_shared<EnclaveProgram>("golden-handshake");
+    in.layout.num_workers = 1;
+    if (quorum_pinned) {
+      in.quorum_membership = quorum.membership_blob();
+    } else {
+      in.counter_service_pk = counters.public_key();
+    }
+    BuildOutput built = build_enclave_image(in, signer,
+                                            world.ias().service_pk(), rng);
+    owner.enroll(built.image.measure(), built.owner);
+    return std::make_unique<EnclaveHost>(guest, *process, std::move(built),
+                                         world.ias(), rng.fork(to_bytes("h")));
+  }
+
+  void provision(sim::ThreadCtx& ctx, EnclaveHost& host) {
+    auto ch = world.make_channel();
+    world.executor().spawn("owner", [this, c = ch.get()](sim::ThreadCtx& t) {
+      owner.serve_one(t, c->b());
+    });
+    ControlCmd cmd;
+    cmd.type = ControlCmd::Type::kProvision;
+    cmd.channel = ch->a();
+    ASSERT_TRUE(host.mailbox().post(ctx, cmd).status.ok());
+  }
+
+  void run(std::function<void(sim::ThreadCtx&)> fn) {
+    world.executor().spawn("test", std::move(fn));
+    ASSERT_TRUE(world.executor().run());
+  }
+};
+
+TEST(PerfPathGoldenHandshake, OwnerProvisionAndMigrationKeyBytesArePinned) {
+  HandshakeBed bed;
+  HandshakeLog log(bed.world);
+  auto host = bed.make_host();
+  bed.run([&](sim::ThreadCtx& ctx) {
+    ASSERT_TRUE(host->create(ctx).ok());
+    bed.provision(ctx, *host);
+    auto blob = bed.migrator.prepare(ctx, *host, {});
+    ASSERT_TRUE(blob.ok()) << blob.status().to_string();
+    auto inst = host->detach_instance();
+    bed.guest.set_migration_target(*bed.target);
+    ASSERT_TRUE(bed.guest.resume_enclaves_after_migration(ctx).ok());
+    Status st = bed.migrator.restore(ctx, *host, *bed.source, inst,
+                                     std::move(*blob), {});
+    ASSERT_TRUE(st.ok()) << st.to_string();
+  });
+  EXPECT_EQ(log.pins(),
+            (std::vector<std::string>{
+                "PROVISION/548/e8dcf37a82858954",
+                "OWNERKEY/249/c2355b4a48896241",
+                "KEYREQ/545/64d86f73d5349499",
+                "KEYREP/547/f6e1b8b2aa104567"}));
+}
+
+TEST(PerfPathGoldenHandshake, CounterGrantAndRefusalBytesArePinned) {
+  HandshakeBed bed;
+  auto host = bed.make_host();
+  std::unique_ptr<HandshakeLog> log;
+  migration::EnclaveMigrateOptions opts;
+  opts.counter_service = &bed.counters;
+  bed.run([&](sim::ThreadCtx& ctx) {
+    ASSERT_TRUE(host->create(ctx).ok());
+    bed.provision(ctx, *host);
+    log = std::make_unique<HandshakeLog>(bed.world);
+    // SEALGRANT -> CTRGRANT (with a key), OPENGRANT -> CTRGRANT, then the
+    // same envelope again: OPENGRANT -> REFUSED (the epoch was consumed).
+    auto id = bed.migrator.snapshot_to_store(ctx, *host, bed.snapshots, opts);
+    ASSERT_TRUE(id.ok()) << id.status().to_string();
+    host->crash_instance(ctx);
+    ASSERT_TRUE(bed.migrator
+                    .restore_from_store(ctx, *host, bed.snapshots, *id, opts)
+                    .ok());
+    host->crash_instance(ctx);
+    Status st =
+        bed.migrator.restore_from_store(ctx, *host, bed.snapshots, *id, opts);
+    EXPECT_EQ(st.code(), ErrorCode::kPermissionDenied) << st.to_string();
+  });
+  EXPECT_EQ(log->pins(),
+            (std::vector<std::string>{
+                "SEALGRANT/556/690ba25d4f03ef09",
+                "CTRGRANT/525/66f4a1fb3b71f72f",
+                "OPENGRANT/556/a5e85dc0c5d54a86",
+                "CTRGRANT/525/b27efcde017b0eb0",
+                "OPENGRANT/556/7255cf93b1bb8400",
+                "REFUSED:stale snapshot counter/54/0f91a74df68f842b"}));
+}
+
+TEST(PerfPathGoldenHandshake, QuorumGrantEnvelopeBytesArePinned) {
+  HandshakeBed bed;
+  auto host = bed.make_host(/*quorum_pinned=*/true);
+  std::unique_ptr<HandshakeLog> log;
+  migration::EnclaveMigrateOptions opts;
+  opts.counter_service = &bed.quorum;
+  bed.run([&](sim::ThreadCtx& ctx) {
+    ASSERT_TRUE(host->create(ctx).ok());
+    bed.provision(ctx, *host);
+    log = std::make_unique<HandshakeLog>(bed.world);
+    auto id = bed.migrator.snapshot_to_store(ctx, *host, bed.snapshots, opts);
+    ASSERT_TRUE(id.ok()) << id.status().to_string();
+  });
+  EXPECT_EQ(log->pins(),
+            (std::vector<std::string>{
+                "SEALGRANT/556/668cd9d2d1d25c55",
+                "MGQ1/2018/a23f0aea750ea5ad"}));
+}
+
+TEST(PerfPathGoldenHandshake, AgentLocalAttestationBytesArePinned) {
+  HandshakeBed bed;
+  hv::Vm host_vm(hv::VmConfig{.name = "target-host"}, hv::DirtyModel{});
+  guestos::GuestOs host_os(*bed.target, host_vm);
+  auto host = bed.make_host();
+  std::unique_ptr<HandshakeLog> log;
+  bed.run([&](sim::ThreadCtx& ctx) {
+    ASSERT_TRUE(host->create(ctx).ok());
+    bed.provision(ctx, *host);
+    auto agent = migration::AgentEnclave::create(
+        ctx, bed.world, host_os, bed.signer,
+        host->owner_credentials().identity, bed.world.fork_rng("agent"));
+    ASSERT_TRUE(agent.ok()) << agent.status().to_string();
+    log = std::make_unique<HandshakeLog>(bed.world);
+    // Relay port: records the local request and response on their way
+    // through the untrusted host.
+    AgentPort relay;
+    relay.set_target_info((*agent)->port().target_info());
+    relay.set_handler([&](sim::ThreadCtx& c, const AgentRequest& req) {
+      Writer w;
+      w.bytes(req.report.serialize_body());
+      w.raw(ByteSpan(req.report.mac));
+      w.bytes(req.dh_pub);
+      log->note(w.take(), "AGENTREQ");
+      AgentPort::Response resp = (*agent)->port().request(c, req);
+      Writer out;
+      out.bytes(resp.dh_pub);
+      out.bytes(resp.enc_kmigrate);
+      log->note(out.take(), "AGENTREP");
+      return resp;
+    });
+    migration::EnclaveMigrateOptions opts;
+    auto blob = bed.migrator.prepare(ctx, *host, opts);
+    ASSERT_TRUE(blob.ok()) << blob.status().to_string();
+    auto inst = host->detach_instance();
+    ASSERT_TRUE(bed.migrator
+                    .deliver_key_to_agent(ctx, *inst, (*agent)->mailbox())
+                    .ok());
+    bed.guest.set_migration_target(*bed.target);
+    ASSERT_TRUE(bed.guest.resume_enclaves_after_migration(ctx).ok());
+    opts.agent = &relay;
+    Status st = bed.migrator.restore(ctx, *host, *bed.source, inst,
+                                     std::move(*blob), opts);
+    ASSERT_TRUE(st.ok()) << st.to_string();
+    ASSERT_TRUE((*agent)->destroy(ctx).ok());
+  });
+  EXPECT_EQ(log->pins(),
+            (std::vector<std::string>{
+                "KEYREQ/545/4dfe254e40405dd7",
+                "KEYREP/547/d1428e2c810d66e0",
+                "AGENTREQ/284/e646bd69c57d6592",
+                "AGENTREP/237/63fd428ccab53a2a"}));
 }
 
 // ---------------------------------------------------------------------------

@@ -301,5 +301,57 @@ TEST(SdkHost, MigrationSupportOffSkipsInstrumentation) {
   });
 }
 
+TEST(SdkControl, UnprovisionedSourceRefusesKeyRequestAtOnce) {
+  // A source whose identity key was never provisioned cannot sign the key
+  // reply. It must say so before the handshake starts, so the target fails
+  // fast with a refusal instead of waiting out its channel timeout.
+  TestBed bed;
+  BuildInput in;
+  in.program = make_counter_program();
+  in.layout.num_workers = 2;
+  BuildOutput built = build_enclave_image(in, bed.dev_signer,
+                                          bed.world.ias().service_pk(),
+                                          bed.rng);
+  BuildOutput copy = built;
+  guestos::Process& target_proc = bed.guest.create_process("target");
+  EnclaveHost source(bed.guest, *bed.process, std::move(built),
+                     bed.world.ias(), bed.rng.fork(to_bytes("s")));
+  EnclaveHost target(bed.guest, target_proc, std::move(copy),
+                     bed.world.ias(), bed.rng.fork(to_bytes("t")));
+  Status served = OkStatus();
+  bed.run([&](sim::ThreadCtx& ctx) {
+    ASSERT_TRUE(source.create(ctx).ok());
+    ControlCmd prepare;
+    prepare.type = ControlCmd::Type::kPrepareCheckpoint;
+    ControlReply ckpt = source.mailbox().post(ctx, prepare);
+    ASSERT_TRUE(ckpt.status.ok()) << ckpt.status.to_string();
+    ASSERT_TRUE(target.create(ctx).ok());
+
+    auto channel = bed.world.make_channel();
+    sim::Event serve_done(bed.world.executor());
+    bed.world.executor().spawn("serve", [&](sim::ThreadCtx& c) {
+      ControlCmd serve;
+      serve.type = ControlCmd::Type::kServeKey;
+      serve.channel = channel->a();
+      served = source.mailbox().post(c, serve).status;
+      serve_done.set(c);
+    });
+    ControlCmd restore;
+    restore.type = ControlCmd::Type::kRestore;
+    restore.blob = ckpt.blob;
+    restore.channel = channel->b();
+    uint64_t start = ctx.now();
+    ControlReply r = target.mailbox().post(ctx, restore);
+    EXPECT_EQ(r.status.code(), ErrorCode::kAborted) << r.status.to_string();
+    EXPECT_NE(r.status.message().find("source refused key exchange"),
+              std::string::npos)
+        << r.status.message();
+    EXPECT_LT(ctx.now() - start, restore.channel_timeout_ns / 10);
+    serve_done.wait(ctx);
+  });
+  EXPECT_EQ(served.code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(served.message(), "identity key not provisioned");
+}
+
 }  // namespace
 }  // namespace mig::sdk

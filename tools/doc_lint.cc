@@ -1,6 +1,7 @@
 // Markdown link lint for the repo's documentation set.
 //
-//   mig_doc_lint README.md DESIGN.md docs/trace-schema.md ...
+//   mig_doc_lint [--symbols <source-file> <name>[,<name>...]]...
+//                README.md DESIGN.md docs/trace-schema.md ...
 //
 // For every inline link `[text](target)` in the given files it checks that
 // the target resolves: relative file targets must exist on disk (relative to
@@ -11,8 +12,13 @@
 // ignored on both sides: links inside them are not checked and headings
 // inside them do not exist.
 //
-// Exit 0 iff every link in every file resolves; problems print one line
-// each to stderr. The `doc_lint` ctest target runs this over the top-level
+// Each --symbols option adds a stale-name check: a document that names one
+// of the listed identifiers (as a whole word, code blocks included) fails
+// unless <source-file> still contains it — so prose cannot outlive the
+// function it describes.
+//
+// Exit 0 iff every link in every file resolves and no document names a
+// vanished identifier; problems print one line each to stderr. The `doc_lint` ctest target runs this over the top-level
 // docs so a renamed section or moved file fails CI instead of shipping a
 // dead link.
 #include <cctype>
@@ -22,6 +28,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -121,6 +128,49 @@ std::string join_path(const std::string& base_dir, const std::string& target) {
   return joined;
 }
 
+// Identifiers a document may only name while a source file defines them.
+struct SymbolCheck {
+  std::string source_path;
+  std::string source_text;
+  std::vector<std::string> names;
+};
+
+std::vector<SymbolCheck> g_symbol_checks;
+
+bool is_ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
+// True iff `name` occurs in `text` with no identifier character on either
+// side.
+bool mentions(const std::string& text, const std::string& name) {
+  for (size_t pos = text.find(name); pos != std::string::npos;
+       pos = text.find(name, pos + 1)) {
+    bool left = pos == 0 || !is_ident_char(text[pos - 1]);
+    size_t end = pos + name.size();
+    bool right = end == text.size() || !is_ident_char(text[end]);
+    if (left && right) return true;
+  }
+  return false;
+}
+
+void check_symbols(const std::string& path, const std::string& text) {
+  for (const SymbolCheck& check : g_symbol_checks) {
+    for (const std::string& name : check.names) {
+      if (mentions(check.source_text, name)) continue;
+      std::istringstream in(text);
+      std::string line;
+      for (size_t lineno = 1; std::getline(in, line); ++lineno) {
+        if (!mentions(line, name)) continue;
+        fail(path, lineno,
+             "names `" + name + "`, which " + check.source_path +
+                 " no longer contains");
+        break;
+      }
+    }
+  }
+}
+
 bool is_external(const std::string& target) {
   return target.rfind("http://", 0) == 0 || target.rfind("https://", 0) == 0 ||
          target.rfind("mailto:", 0) == 0;
@@ -132,6 +182,7 @@ void check_document(const std::string& path) {
     fail(path, 0, "cannot open");
     return;
   }
+  check_symbols(path, text);
   std::set<std::string> own_anchors = collect_anchors(text);
   std::map<std::string, std::set<std::string>> anchor_cache;
   const std::string base_dir = dirname_of(path);
@@ -208,13 +259,32 @@ void check_document(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <file.md>...\n", argv[0]);
+  int first_doc = 1;
+  while (first_doc < argc && std::string(argv[first_doc]) == "--symbols") {
+    if (first_doc + 2 >= argc) break;
+    SymbolCheck check;
+    check.source_path = argv[first_doc + 1];
+    if (!read_file(check.source_path, &check.source_text)) {
+      std::fprintf(stderr, "cannot open %s\n", check.source_path.c_str());
+      return 2;
+    }
+    std::istringstream names(argv[first_doc + 2]);
+    for (std::string name; std::getline(names, name, ',');)
+      if (!name.empty()) check.names.push_back(name);
+    g_symbol_checks.push_back(std::move(check));
+    first_doc += 3;
+  }
+  if (first_doc >= argc) {
+    std::fprintf(stderr,
+                 "usage: %s [--symbols <source-file> <name>[,<name>...]]... "
+                 "<file.md>...\n",
+                 argv[0]);
     return 2;
   }
-  for (int i = 1; i < argc; ++i) check_document(argv[i]);
+  for (int i = first_doc; i < argc; ++i) check_document(argv[i]);
   for (const Problem& p : g_problems)
     std::fprintf(stderr, "%s:%zu: %s\n", p.file.c_str(), p.line, p.what.c_str());
-  if (g_problems.empty()) std::printf("%d file(s): all links OK\n", argc - 1);
+  if (g_problems.empty())
+    std::printf("%d file(s): all links OK\n", argc - first_doc);
   return g_problems.empty() ? 0 : 1;
 }
