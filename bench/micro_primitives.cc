@@ -114,16 +114,58 @@ void BM_BigNumModExp(benchmark::State& state) {
 }
 BENCHMARK(BM_BigNumModExp);
 
-void BM_SchnorrSignVerify(benchmark::State& state) {
+// The RSA-like core of apps::block_gnupg: a 128-bit message to the 65537th
+// power modulo a 256-bit odd n.
+void BM_ModExp256(benchmark::State& state) {
+  crypto::BigNum n = crypto::BigNum::from_hex(
+      "c9f2d8351629bbbd6cf5cc9a9c1f6af3cba7569d9f30cfd6a1a9b0c5e2fa4d5f");
+  crypto::BigNum m =
+      crypto::BigNum::from_bytes(crypto::Drbg(to_bytes("m")).generate(16));
+  crypto::BigNum e(65537);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m.modexp(e, n));
+  }
+}
+BENCHMARK(BM_ModExp256);
+
+void BM_DhGenerate(benchmark::State& state) {
+  crypto::Drbg rng(to_bytes("dh"));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::dh_generate(rng));
+  }
+}
+BENCHMARK(BM_DhGenerate);
+
+void BM_DhShared(benchmark::State& state) {
+  crypto::Drbg rng(to_bytes("dh"));
+  crypto::DhKeyPair a = crypto::dh_generate(rng);
+  crypto::DhKeyPair b = crypto::dh_generate(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::dh_shared(a.priv, b.pub));
+  }
+}
+BENCHMARK(BM_DhShared);
+
+void BM_SchnorrSign(benchmark::State& state) {
   crypto::Drbg rng(to_bytes("sig"));
   crypto::SigKeyPair kp = crypto::sig_keygen(rng);
   Bytes msg = to_bytes("benchmark message");
   for (auto _ : state) {
-    Bytes sig = crypto::sig_sign(kp.sk, msg, rng);
+    benchmark::DoNotOptimize(crypto::sig_sign(kp.sk, msg, rng));
+  }
+}
+BENCHMARK(BM_SchnorrSign);
+
+void BM_SchnorrVerify(benchmark::State& state) {
+  crypto::Drbg rng(to_bytes("sig"));
+  crypto::SigKeyPair kp = crypto::sig_keygen(rng);
+  Bytes msg = to_bytes("benchmark message");
+  Bytes sig = crypto::sig_sign(kp.sk, msg, rng);
+  for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::sig_verify(kp.pk, msg, sig));
   }
 }
-BENCHMARK(BM_SchnorrSignVerify);
+BENCHMARK(BM_SchnorrVerify);
 
 void BM_ExecutorContextSwitch(benchmark::State& state) {
   // Cost of one work()-slice round trip through the scheduler.

@@ -1,6 +1,7 @@
 #include "crypto/bignum.h"
 
 #include <algorithm>
+#include <array>
 
 #include "util/check.h"
 
@@ -247,8 +248,132 @@ BigNum BigNum::modmul(const BigNum& a, const BigNum& b, const BigNum& m) {
   return (a * b) % m;
 }
 
+// Fixed-width Montgomery arithmetic modulo an odd m of at most 1024 bits,
+// with R = 2^(64 n) for m's n 64-bit limbs. Every value lives in a stack
+// array of kMaxLimbs limbs (the top kMaxLimbs - n stay zero); mul() is CIOS
+// with 128-bit carries and a branch-free final subtract. Entering Montgomery
+// form (x R mod m) takes one divmod, so a modexp pays two divmods up front
+// and none inside the exponent loop.
+struct BigNum::Montgomery {
+  static constexpr size_t kMaxLimbs = 16;
+  using Limbs = std::array<uint64_t, kMaxLimbs>;
+
+  static bool fits(const BigNum& m) {
+    return m.is_odd() && m.bit_length() <= 64 * kMaxLimbs;
+  }
+
+  explicit Montgomery(const BigNum& modulus)
+      : m(modulus), n((modulus.bit_length() + 63) / 64) {
+    MIG_CHECK(fits(m));
+    load(m, m64.data());
+    // -m^-1 mod 2^64 by Newton: m0 * m0 == 1 mod 8 gives 3 correct bits, and
+    // each step doubles them (3 -> 6 -> ... -> 96).
+    uint64_t inv = m64[0];
+    for (int i = 0; i < 5; ++i) inv *= 2 - m64[0] * inv;
+    n0 = 0 - inv;
+  }
+
+  // x (< 2^(64 n)) into n limbs; the rest of out stays untouched.
+  void load(const BigNum& x, uint64_t* out) const {
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t lo = 2 * i < x.limbs_.size() ? x.limbs_[2 * i] : 0;
+      uint64_t hi = 2 * i + 1 < x.limbs_.size() ? x.limbs_[2 * i + 1] : 0;
+      out[i] = lo | hi << 32;
+    }
+  }
+
+  // x R mod m, for any x.
+  Limbs to_mont(const BigNum& x) const {
+    Limbs out{};
+    load(x.shifted_left(64 * n) % m, out.data());
+    return out;
+  }
+
+  // x R^-1 mod m, as a BigNum.
+  BigNum from_mont(const uint64_t* x) const {
+    Limbs one{1}, r{};
+    mul(r.data(), x, one.data());
+    BigNum out;
+    out.limbs_.resize(2 * n);
+    for (size_t i = 0; i < n; ++i) {
+      out.limbs_[2 * i] = static_cast<uint32_t>(r[i]);
+      out.limbs_[2 * i + 1] = static_cast<uint32_t>(r[i] >> 32);
+    }
+    out.trim();
+    return out;
+  }
+
+  // r = a b R^-1 mod m, for a, b < m. r may alias a or b.
+  void mul(uint64_t* r, const uint64_t* a, const uint64_t* b) const {
+    using u128 = unsigned __int128;
+    uint64_t t[kMaxLimbs + 2] = {};
+    for (size_t i = 0; i < n; ++i) {
+      u128 c = 0;
+      for (size_t j = 0; j < n; ++j) {
+        c += u128{a[j]} * b[i] + t[j];
+        t[j] = static_cast<uint64_t>(c);
+        c >>= 64;
+      }
+      c += t[n];
+      t[n] = static_cast<uint64_t>(c);
+      t[n + 1] = static_cast<uint64_t>(c >> 64);
+      // Add q m with q chosen so the low limb cancels, then drop that limb.
+      uint64_t q = t[0] * n0;
+      c = (u128{q} * m64[0] + t[0]) >> 64;
+      for (size_t j = 1; j < n; ++j) {
+        c += u128{q} * m64[j] + t[j];
+        t[j - 1] = static_cast<uint64_t>(c);
+        c >>= 64;
+      }
+      c += t[n];
+      t[n - 1] = static_cast<uint64_t>(c);
+      t[n] = t[n + 1] + static_cast<uint64_t>(c >> 64);
+    }
+    // t < 2m: take t - m unless that borrows past t's top limb.
+    uint64_t borrow = 0;
+    for (size_t j = 0; j < n; ++j) {
+      u128 diff = u128{t[j]} - m64[j] - borrow;
+      r[j] = static_cast<uint64_t>(diff);
+      borrow = static_cast<uint64_t>(diff >> 64) & 1;
+    }
+    uint64_t keep_t = 0 - (borrow & (t[n] ^ 1));
+    for (size_t j = 0; j < n; ++j) r[j] = (t[j] & keep_t) | (r[j] & ~keep_t);
+  }
+
+  // Hex digit i of e (zero past its top).
+  static unsigned digit(const BigNum& e, size_t i) {
+    size_t limb = i / 8;
+    if (limb >= e.limbs_.size()) return 0;
+    return (e.limbs_[limb] >> (4 * (i % 8))) & 0xf;
+  }
+
+  // base^e mod m with a fixed 4-bit window over a 16-entry table.
+  BigNum pow(const BigNum& base, const BigNum& e) const {
+    size_t digits = (e.bit_length() + 3) / 4;
+    if (digits == 0) return BigNum(1) % m;
+    Limbs table[16];
+    table[0] = to_mont(BigNum(1));
+    table[1] = to_mont(base);
+    for (size_t k = 2; k < 16; ++k)
+      mul(table[k].data(), table[k - 1].data(), table[1].data());
+    Limbs acc = table[digit(e, digits - 1)];
+    for (size_t i = digits - 1; i-- > 0;) {
+      for (int s = 0; s < 4; ++s) mul(acc.data(), acc.data(), acc.data());
+      mul(acc.data(), acc.data(), table[digit(e, i)].data());
+    }
+    return from_mont(acc.data());
+  }
+
+  const BigNum& m;
+  Limbs m64{};     // m in n limbs
+  size_t n;        // limbs in use
+  uint64_t n0 = 0; // -m^-1 mod 2^64
+};
+
 BigNum BigNum::modexp(const BigNum& e, const BigNum& m) const {
   MIG_CHECK(!m.is_zero());
+  if (Montgomery::fits(m)) return Montgomery(m).pow(*this, e);
+  // Schoolbook square-and-multiply: even moduli and moduli over 1024 bits.
   BigNum base = *this % m;
   BigNum result(1);
   size_t bits = e.bit_length();
@@ -257,6 +382,52 @@ BigNum BigNum::modexp(const BigNum& e, const BigNum& m) const {
     if (e.bit(i)) result = modmul(result, base, m);
   }
   return result;
+}
+
+FixedBasePow::FixedBasePow(const BigNum& base, const BigNum& m,
+                           size_t max_exp_bits)
+    : base_(base), m_(m), digits_((max_exp_bits + 3) / 4) {
+  using Mont = BigNum::Montgomery;
+  Mont mont(m_);
+  constexpr size_t kW = Mont::kMaxLimbs;
+  powers_.assign(digits_ * kW, 0);
+  Mont::Limbs x = mont.to_mont(base_);
+  for (size_t i = 0; i < digits_; ++i) {
+    std::copy(x.begin(), x.end(), powers_.begin() + i * kW);
+    for (int s = 0; s < 4; ++s) mont.mul(x.data(), x.data(), x.data());
+  }
+}
+
+BigNum FixedBasePow::pow(const BigNum& e) const {
+  if (e.bit_length() > 4 * digits_) return base_.modexp(e, m_);
+  if (e.is_zero()) return BigNum(1) % m_;
+  // Yao: base^e = prod_{d=15..1} run_d, where run_d is the product of
+  // base^(16^i) over every digit position i with e_i >= d.
+  using Mont = BigNum::Montgomery;
+  Mont mont(m_);
+  constexpr size_t kW = Mont::kMaxLimbs;
+  Mont::Limbs run{}, acc{};
+  bool have_run = false, have_acc = false;
+  for (unsigned d = 15; d >= 1; --d) {
+    for (size_t i = 0; i < digits_; ++i) {
+      if (Mont::digit(e, i) != d) continue;
+      const uint64_t* p = powers_.data() + i * kW;
+      if (have_run) {
+        mont.mul(run.data(), run.data(), p);
+      } else {
+        std::copy(p, p + kW, run.begin());
+        have_run = true;
+      }
+    }
+    if (!have_run) continue;
+    if (have_acc) {
+      mont.mul(acc.data(), acc.data(), run.data());
+    } else {
+      acc = run;
+      have_acc = true;
+    }
+  }
+  return mont.from_mont(acc.data());
 }
 
 }  // namespace mig::crypto

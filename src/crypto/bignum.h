@@ -1,7 +1,15 @@
 // Minimal arbitrary-precision unsigned integers: exactly what finite-field
 // Diffie–Hellman and Schnorr signatures need (add/sub/mul/divmod/modexp),
-// nothing more. 32-bit limbs, little-endian, schoolbook algorithms — clarity
-// over speed; the cost model supplies the virtual-time price of crypto.
+// nothing more. 32-bit limbs, little-endian, schoolbook add/sub/mul/divmod.
+//
+// modexp has two paths. Odd moduli of at most 1024 bits (every production
+// modulus: the Oakley-2 prime, the gnupg workload's RSA-like n) run on
+// fixed-width Montgomery arithmetic — 16 x 64-bit limbs on the stack, CIOS
+// multiplication, a fixed 4-bit window, no allocation in the exponent loop.
+// Even moduli and wider ones fall back to schoolbook square-and-multiply
+// over modmul. FixedBasePow adds a precomputed table for a base that never
+// changes (a group generator). All paths return identical values; the cost
+// model, not this code, supplies the virtual-time price of crypto.
 #pragma once
 
 #include <cstdint>
@@ -52,17 +60,40 @@ class BigNum {
   // (quotient, remainder); divisor must be nonzero.
   static std::pair<BigNum, BigNum> divmod(const BigNum& a, const BigNum& b);
 
-  // this^e mod m, square-and-multiply. m must be nonzero.
+  // this^e mod m, always < m. m must be nonzero.
   BigNum modexp(const BigNum& e, const BigNum& m) const;
 
   // (a * b) mod m.
   static BigNum modmul(const BigNum& a, const BigNum& b, const BigNum& m);
 
  private:
+  // Fixed-width Montgomery arithmetic (bignum.cc); FixedBasePow builds on it.
+  struct Montgomery;
+  friend class FixedBasePow;
+
   static int cmp(const BigNum& a, const BigNum& b);
   void trim();
 
   std::vector<uint32_t> limbs_;  // little-endian; no trailing zero limbs
+};
+
+// base^e mod m for one fixed base and one odd modulus of at most 1024 bits.
+// The table holds base^(16^i) mod m in Montgomery form for every hex digit
+// position i of an exponent up to max_exp_bits wide (32 KB for 1024 bits).
+// pow() combines it by Yao's method: one multiply per nonzero digit plus at
+// most 15, against about 1280 for a variable base. Wider exponents fall back
+// to modexp. pow(e) == base.modexp(e, m) for every e.
+class FixedBasePow {
+ public:
+  FixedBasePow(const BigNum& base, const BigNum& m, size_t max_exp_bits);
+
+  BigNum pow(const BigNum& e) const;
+
+ private:
+  BigNum base_;
+  BigNum m_;
+  size_t digits_;
+  std::vector<uint64_t> powers_;  // digit i at [16 i, 16 i + 16)
 };
 
 }  // namespace mig::crypto

@@ -13,6 +13,12 @@ constexpr std::string_view kOakley2P =
     "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
     "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF";
 
+// True for x in [2, p-2]: 0, 1 and p-1 would pin a DH shared secret or a
+// Schnorr verification equation to a value an attacker knows.
+bool nondegenerate(const BigNum& x, const DhGroup& group) {
+  return BigNum(1) < x && x < group.p - BigNum(1);
+}
+
 // Draws an exponent uniformly-enough in [2, q).
 BigNum random_exponent(Drbg& rng, const DhGroup& group) {
   for (;;) {
@@ -24,13 +30,15 @@ BigNum random_exponent(Drbg& rng, const DhGroup& group) {
 
 const DhGroup& DhGroup::oakley2() {
   static const DhGroup group = [] {
-    DhGroup g;
-    g.p = BigNum::from_hex(kOakley2P);
-    g.g = BigNum(2);
-    g.q = (g.p - BigNum(1)) / BigNum(2);
-    g.gq = BigNum(4);
-    g.byte_len = 128;
-    return g;
+    BigNum p = BigNum::from_hex(kOakley2P);
+    size_t bits = p.bit_length();
+    return DhGroup{.p = p,
+                   .g = BigNum(2),
+                   .q = (p - BigNum(1)) / BigNum(2),
+                   .gq = BigNum(4),
+                   .byte_len = 128,
+                   .g_table = FixedBasePow(BigNum(2), p, bits),
+                   .gq_table = FixedBasePow(BigNum(4), p, bits)};
   }();
   return group;
 }
@@ -38,7 +46,7 @@ const DhGroup& DhGroup::oakley2() {
 DhKeyPair dh_generate(Drbg& rng, const DhGroup& group) {
   DhKeyPair kp;
   kp.priv = random_exponent(rng, group);
-  kp.pub = group.g.modexp(kp.priv, group.p);
+  kp.pub = group.pow_g(kp.priv);
   return kp;
 }
 
@@ -46,8 +54,7 @@ Result<Bytes> dh_shared(const BigNum& priv, const BigNum& peer_pub,
                         const DhGroup& group) {
   // Reject degenerate public values a MITM could inject to force a known
   // shared secret.
-  BigNum p_minus_1 = group.p - BigNum(1);
-  if (peer_pub <= BigNum(1) || !(peer_pub < p_minus_1)) {
+  if (!nondegenerate(peer_pub, group)) {
     return Error(ErrorCode::kAuthFailure, "degenerate DH public value");
   }
   BigNum shared = peer_pub.modexp(priv, group.p);
@@ -57,7 +64,7 @@ Result<Bytes> dh_shared(const BigNum& priv, const BigNum& peer_pub,
 SigKeyPair sig_keygen(Drbg& rng, const DhGroup& group) {
   SigKeyPair kp;
   kp.sk = random_exponent(rng, group);
-  kp.pk = group.gq.modexp(kp.sk, group.p);
+  kp.pk = group.pow_gq(kp.sk);
   return kp;
 }
 
@@ -73,7 +80,7 @@ BigNum challenge(const BigNum& r, ByteSpan message, const DhGroup& group) {
 Bytes sig_sign(const BigNum& sk, ByteSpan message, Drbg& rng,
                const DhGroup& group) {
   BigNum k = random_exponent(rng, group);
-  BigNum r = group.gq.modexp(k, group.p);
+  BigNum r = group.pow_gq(k);
   BigNum e = challenge(r, message, group);
   BigNum s = (k + BigNum::modmul(e, sk, group.q)) % group.q;
   Writer w;
@@ -87,12 +94,14 @@ bool sig_verify(const BigNum& pk, ByteSpan message, ByteSpan signature,
   Reader rd(signature);
   Bytes r_bytes = rd.bytes();
   Bytes s_bytes = rd.bytes();
-  if (!rd.finish().ok()) return false;
+  if (!rd.finish().ok() || !nondegenerate(pk, group)) return false;
+  if (r_bytes.size() != group.byte_len) return false;
   BigNum r = BigNum::from_bytes(r_bytes);
   BigNum s = BigNum::from_bytes(s_bytes);
+  if (s_bytes != s.to_bytes()) return false;
   if (r.is_zero() || !(r < group.p) || !(s < group.q)) return false;
   BigNum e = challenge(r, message, group);
-  BigNum lhs = group.gq.modexp(s, group.p);
+  BigNum lhs = group.pow_gq(s);
   BigNum rhs = BigNum::modmul(r, pk.modexp(e, group.p), group.p);
   return lhs == rhs;
 }

@@ -22,6 +22,12 @@ struct DhGroup {
   BigNum q;  // (p-1)/2, prime order of the subgroup of squares
   BigNum gq; // generator of the squares subgroup (4)
   size_t byte_len;  // serialized element width
+  FixedBasePow g_table;   // g^(16^i) mod p, for exponents below 2^1024
+  FixedBasePow gq_table;  // gq^(16^i) mod p, likewise
+
+  // g^e mod p and gq^e mod p from the fixed-base tables.
+  BigNum pow_g(const BigNum& e) const { return g_table.pow(e); }
+  BigNum pow_gq(const BigNum& e) const { return gq_table.pow(e); }
 
   static const DhGroup& oakley2();
 };
@@ -51,6 +57,8 @@ SigKeyPair sig_keygen(Drbg& rng, const DhGroup& group = DhGroup::oakley2());
 Bytes sig_sign(const BigNum& sk, ByteSpan message, Drbg& rng,
                const DhGroup& group = DhGroup::oakley2());
 
+// Refuses public keys outside [2, p-2] and any encoding sig_sign would not
+// have produced: r must be exactly byte_len bytes, s minimal-length.
 bool sig_verify(const BigNum& pk, ByteSpan message, ByteSpan signature,
                 const DhGroup& group = DhGroup::oakley2());
 

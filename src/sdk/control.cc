@@ -2034,7 +2034,7 @@ class ControlEngine {
     crypto::BigNum sk = crypto::BigNum::from_bytes(enc_sk);
     const crypto::DhGroup& g = crypto::DhGroup::oakley2();
     env_->work(env_->cost().dh_keygen_ns);
-    if (!(g.gq.modexp(sk, g.p) == embedded_identity_pk()))
+    if (!(g.pow_gq(sk) == embedded_identity_pk()))
       return fail(ErrorCode::kAuthFailure, "provisioning key invalid");
     env_->write_bytes(kOffIdentityPriv, sk.to_bytes_padded(160));
     env_->write_u64(kOffProvisioned, 1);

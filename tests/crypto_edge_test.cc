@@ -10,6 +10,7 @@
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "sim/rng.h"
+#include "util/serde.h"
 
 namespace mig::crypto {
 namespace {
@@ -128,6 +129,146 @@ TEST(SchnorrEdge, EmptyAndHugeMessages) {
   Bytes sig2 = sig_sign(kp.sk, huge, rng);
   EXPECT_TRUE(sig_verify(kp.pk, huge, sig2));
   EXPECT_FALSE(sig_verify(kp.pk, empty, sig2));
+}
+
+// sig_verify must refuse degenerate public keys: with pk = 1 the equation
+// gq^s == r * pk^e holds for r = gq^s and any message.
+TEST(SchnorrEdge, DegeneratePublicKeyRefused) {
+  const DhGroup& g = DhGroup::oakley2();
+  Bytes msg = to_bytes("forged");
+  auto forge = [&](const BigNum& s) {
+    Writer w;
+    w.bytes(g.pow_gq(s).to_bytes_padded(g.byte_len));
+    w.bytes(s.to_bytes());
+    return w.take();
+  };
+  BigNum p_minus_1 = g.p - BigNum(1);
+  for (uint64_t s = 2; s < 10; ++s) {
+    Bytes sig = forge(BigNum(s));
+    for (const BigNum& pk : {BigNum(0), BigNum(1), p_minus_1, g.p})
+      EXPECT_FALSE(sig_verify(pk, msg, sig)) << s;
+  }
+  // A well-formed key still verifies its own signatures.
+  Drbg rng(to_bytes("pk-range"));
+  SigKeyPair kp = sig_keygen(rng);
+  EXPECT_TRUE(sig_verify(kp.pk, msg, sig_sign(kp.sk, msg, rng)));
+}
+
+// Decoders reject or round-trip exactly: zero-padding either half of a
+// genuine signature gives new bytes that must not verify.
+TEST(SchnorrEdge, NonCanonicalEncodingRefused) {
+  const DhGroup& g = DhGroup::oakley2();
+  Drbg rng(to_bytes("canon"));
+  SigKeyPair kp = sig_keygen(rng);
+  Bytes msg = to_bytes("grant");
+  Bytes sig = sig_sign(kp.sk, msg, rng);
+  Reader rd(sig);
+  Bytes r_bytes = rd.bytes();
+  Bytes s_bytes = rd.bytes();
+  ASSERT_TRUE(rd.finish().ok());
+  ASSERT_EQ(r_bytes.size(), g.byte_len);
+  auto encode = [](const Bytes& r, const Bytes& s) {
+    Writer w;
+    w.bytes(r);
+    w.bytes(s);
+    return w.take();
+  };
+  Bytes zero{0};
+  Bytes r_padded = zero;
+  append(r_padded, r_bytes);
+  Bytes s_padded = zero;
+  append(s_padded, s_bytes);
+  EXPECT_FALSE(sig_verify(kp.pk, msg, encode(r_padded, s_bytes)));
+  EXPECT_FALSE(sig_verify(kp.pk, msg, encode(r_bytes, s_padded)));
+  EXPECT_EQ(encode(r_bytes, s_bytes), sig);
+  EXPECT_TRUE(sig_verify(kp.pk, msg, sig));
+}
+
+// ---- fixed-width Montgomery modexp and the fixed-base tables --------------
+
+// The reference: plain square-and-multiply over modmul.
+BigNum ref_modexp(const BigNum& base, const BigNum& e, const BigNum& m) {
+  BigNum b = base % m;
+  BigNum result = BigNum(1) % m;
+  for (size_t i = e.bit_length(); i-- > 0;) {
+    result = BigNum::modmul(result, result, m);
+    if (e.bit(i)) result = BigNum::modmul(result, b, m);
+  }
+  return result;
+}
+
+TEST(BigNumMont, MatchesReferenceOnRandomOddModuli) {
+  Drbg rng(to_bytes("mont-diff"));
+  sim::Rng rnd(13);
+  for (int i = 0; i < 300; ++i) {
+    Bytes mb = rng.generate(1 + rnd.below(128));
+    mb.front() |= 1;  // exact byte width
+    mb.back() |= 1;   // odd
+    BigNum m = BigNum::from_bytes(mb);
+    BigNum base = BigNum::from_bytes(rng.generate(rnd.below(141)));
+    BigNum e = BigNum::from_bytes(rng.generate(rnd.below(131)));
+    BigNum got = base.modexp(e, m);
+    ASSERT_EQ(got, ref_modexp(base, e, m)) << i << " m=" << hex_encode(mb);
+    ASSERT_TRUE(got < m) << i;
+  }
+}
+
+TEST(BigNumMont, EdgeBasesAndExponentsModP) {
+  const DhGroup& g = DhGroup::oakley2();
+  BigNum one(1);
+  for (const BigNum& base : {BigNum(0), one, g.p - one, g.p, g.p + one}) {
+    for (const BigNum& e : {BigNum(0), one, BigNum(2), g.q, g.p - one}) {
+      EXPECT_EQ(base.modexp(e, g.p), ref_modexp(base, e, g.p))
+          << hex_encode(base.to_bytes()) << "^" << hex_encode(e.to_bytes());
+    }
+  }
+}
+
+TEST(BigNumMont, FixedBaseTablesMatchGenericPath) {
+  const DhGroup& g = DhGroup::oakley2();
+  Drbg rng(to_bytes("mont-fixed"));
+  sim::Rng rnd(17);
+  std::vector<BigNum> exps = {BigNum(0), BigNum(1), BigNum(15), BigNum(16),
+                              g.q, g.p - BigNum(1),
+                              BigNum::from_bytes(Bytes(128, 0xff)),
+                              BigNum(1).shifted_left(1024)};
+  for (int i = 0; i < 200; ++i) {
+    // Mostly table-width exponents; every tenth is wider than the table.
+    size_t len = i % 10 == 9 ? 129 + rnd.below(32) : rnd.below(129);
+    exps.push_back(BigNum::from_bytes(rng.generate(len)));
+  }
+  for (const BigNum& e : exps) {
+    EXPECT_EQ(g.pow_g(e), g.g.modexp(e, g.p)) << hex_encode(e.to_bytes());
+    EXPECT_EQ(g.pow_gq(e), g.gq.modexp(e, g.p)) << hex_encode(e.to_bytes());
+  }
+  // And the generic path against the reference, on a few of them.
+  for (size_t i = 0; i < exps.size(); i += 40)
+    EXPECT_EQ(g.pow_gq(exps[i]), ref_modexp(g.gq, exps[i], g.p)) << i;
+}
+
+TEST(BigNumMont, KnownAnswers) {
+  const DhGroup& g = DhGroup::oakley2();
+  BigNum one(1);
+  // p = 7 mod 8, so 2 is a square and both generators have order q.
+  EXPECT_EQ(BigNum::divmod(g.p, BigNum(8)).second, BigNum(7));
+  EXPECT_EQ(g.g.modexp(g.q, g.p), one);
+  EXPECT_EQ(g.gq.modexp(g.q, g.p), one);
+  EXPECT_EQ(g.pow_g(g.q), one);
+  EXPECT_EQ(g.pow_gq(g.q), one);
+  // Fermat: a^(p-1) = 1, and a^(p-2) is a's inverse.
+  for (uint64_t a : {2ull, 3ull, 12345ull, 0xffffffffffffffffull}) {
+    EXPECT_EQ(BigNum(a).modexp(g.p - one, g.p), one) << a;
+    BigNum inv = BigNum(a).modexp(g.p - BigNum(2), g.p);
+    EXPECT_EQ(BigNum::modmul(BigNum(a), inv, g.p), one) << a;
+  }
+}
+
+TEST(BigNumMont, ResultAlwaysBelowModulus) {
+  BigNum one(1);
+  EXPECT_TRUE(BigNum(7).modexp(BigNum(0), one).is_zero());
+  EXPECT_TRUE(BigNum(0).modexp(BigNum(0), one).is_zero());
+  EXPECT_TRUE(BigNum(7).modexp(BigNum(5), one).is_zero());
+  EXPECT_EQ(BigNum(7).modexp(BigNum(0), BigNum(3)), one);
 }
 
 TEST(AeadEdge, EmptySealedAndHostileHeaders) {
