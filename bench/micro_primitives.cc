@@ -182,6 +182,44 @@ void BM_ExecutorContextSwitch(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecutorContextSwitch)->Unit(benchmark::kMillisecond);
 
+// One hand-off between two sim threads: both alternate work() bursts on one
+// model CPU, so every slice switches fibers. Items = hand-offs.
+void BM_ExecutorSwitch(benchmark::State& state) {
+  constexpr int kSlices = 1000;
+  for (auto _ : state) {
+    sim::Executor exec(1);
+    for (int t = 0; t < 2; ++t)
+      exec.spawn("spin", [](sim::ThreadCtx& ctx) {
+        for (int i = 0; i < kSlices / 2; ++i) ctx.work(1000);
+      });
+    benchmark::DoNotOptimize(exec.run());
+  }
+  state.SetItemsProcessed(state.iterations() * kSlices);
+}
+BENCHMARK(BM_ExecutorSwitch);
+
+// One Event::set -> wake: two threads ping-pong over a chain of events, each
+// waiting on the previous one and setting the next. Items = wakes.
+void BM_EventWake(benchmark::State& state) {
+  constexpr size_t kWakes = 1000;
+  for (auto _ : state) {
+    sim::Executor exec(1);
+    std::vector<std::unique_ptr<sim::Event>> ping;
+    for (size_t i = 0; i < kWakes; ++i)
+      ping.push_back(std::make_unique<sim::Event>(exec));
+    for (size_t t = 0; t < 2; ++t)
+      exec.spawn("ping", [&ping, t](sim::ThreadCtx& ctx) {
+        for (size_t i = t; i < kWakes; i += 2) {
+          if (i > 0) ping[i - 1]->wait(ctx);
+          ping[i]->set(ctx);
+        }
+      });
+    benchmark::DoNotOptimize(exec.run());
+  }
+  state.SetItemsProcessed(state.iterations() * kWakes);
+}
+BENCHMARK(BM_EventWake);
+
 // --- Zero-copy hotpath rows ------------------------------------------------
 
 // Best-of-N wall time of fn(), in nanoseconds. Best-of damps scheduler noise

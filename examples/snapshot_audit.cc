@@ -62,7 +62,7 @@ int main() {
     ckpt.type = sdk::ControlCmd::Type::kOwnerCheckpoint;
     sdk::ControlReply snap = with_owner(ctx, ckpt);
     MIG_CHECK_MSG(snap.status.ok(), snap.status.to_string());
-    host.finish_migration(ctx, {});
+    host.end_parking(ctx);
     std::printf("snapshot taken: %zu bytes (owner issued Kencrypt)\n",
                 snap.blob.size());
 

@@ -612,7 +612,7 @@ void VmMigrationSession::cleanup_failed_restore(sim::ThreadCtx& ctx,
       host.adopt_instance(std::move(m.source_instance));
     }
     // else the cancel path already re-attached the source instance.
-    host.finish_migration(ctx, {});
+    host.end_parking(ctx);
     return;
   }
   // No rollback available: either the key was served (source self-destroyed)
@@ -624,7 +624,7 @@ void VmMigrationSession::cleanup_failed_restore(sim::ThreadCtx& ctx,
     (void)host.destroy_detached(ctx, *source_, std::move(m.source_instance));
   }
   host.mark_instance_lost();
-  host.finish_migration(ctx, {});
+  host.end_parking(ctx);
 }
 
 Status VmMigrationSession::cancel_process(sim::ThreadCtx& ctx,
@@ -646,7 +646,7 @@ Status VmMigrationSession::cancel_process(sim::ThreadCtx& ctx,
       mailbox = &host.mailbox();
     }
     if (mailbox == nullptr) {
-      host.finish_migration(ctx, {});
+      host.end_parking(ctx);
       continue;
     }
     // The mailbox serializes this against a concurrent kServeKey — whichever
@@ -667,11 +667,11 @@ Status VmMigrationSession::cancel_process(sim::ThreadCtx& ctx,
       m.delta_segments.clear();
       if (detached && host.instance() == nullptr && !m.restore_started) {
         host.adopt_instance(std::move(m.source_instance));
-        host.finish_migration(ctx, {});
+        host.end_parking(ctx);
       } else if (!detached) {
         // Never detached (the fault struck before or during prepare): the
         // instance is still attached, but workers may already be parked.
-        host.finish_migration(ctx, {});
+        host.end_parking(ctx);
       }
       // else: a restore is mid-flight; its key handshake will be refused
       // (the key is gone) and its failure path re-attaches the source
@@ -694,7 +694,7 @@ Status VmMigrationSession::cancel_process(sim::ThreadCtx& ctx,
                                       std::move(m.source_instance));
         }
         host.mark_instance_lost();
-        host.finish_migration(ctx, {});
+        host.end_parking(ctx);
       }
       continue;
     }

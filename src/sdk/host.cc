@@ -281,10 +281,15 @@ Status EnclaveHost::pump_cssa(sim::ThreadCtx& ctx, uint64_t worker_idx,
 
 void EnclaveHost::finish_migration(sim::ThreadCtx& ctx,
                                    const std::vector<PumpPlan>& pumps) {
+  for (HostThread& w : workers_) w.believed_cssa = 0;
   for (const PumpPlan& p : pumps) {
     MIG_CHECK(p.worker_idx < workers_.size());
     workers_[p.worker_idx].believed_cssa = p.pumps;
   }
+  end_parking(ctx);
+}
+
+void EnclaveHost::end_parking(sim::ThreadCtx& ctx) {
   parked_ = false;
   migration_done_->set(ctx);
 }

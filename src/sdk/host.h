@@ -107,10 +107,15 @@ class EnclaveHost {
                           std::unique_ptr<EnclaveInstance> inst);
   // Untrusted CSSA pumping (§IV-C Step-3): EENTER/AEX `pumps` times.
   Status pump_cssa(sim::ThreadCtx& ctx, uint64_t worker_idx, uint64_t pumps);
-  // Updates host-side believed CSSA after restore and releases parked
-  // workers.
+  // After a restore on the target: sets every worker's believed CSSA to
+  // the restore's pump plan (0 for a worker the plan leaves out; whatever it
+  // believed on the source is void) and releases parked workers.
   void finish_migration(sim::ThreadCtx& ctx,
                         const std::vector<PumpPlan>& pumps);
+  // Releases parked workers when the enclave did not move: the migration
+  // was cancelled (the source instance, and each worker's AEX frames on it,
+  // survive) or the instance is lost.
+  void end_parking(sim::ThreadCtx& ctx);
 
   // Fig. 9(b): whether the per-entry migration instrumentation is compiled
   // in (stubs, flags, CSSA recording).

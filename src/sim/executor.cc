@@ -1,26 +1,39 @@
 #include "sim/executor.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <limits>
 
 #include "obs/metrics.h"
 
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#endif
+#ifdef __SANITIZE_THREAD__
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace mig::sim {
 
 namespace {
-// A sim thread's ThreadCtx lives in thread-local storage so ctx methods can
-// find their executor state without plumbing.
-thread_local ThreadCtx* tls_ctx = nullptr;
+// 8 MB, the glibc default for a thread stack. The mapping is committed
+// lazily: a thread pays only for the pages it touches.
+constexpr size_t kFiberStackBytes = 8u << 20;
+const size_t kPageBytes = static_cast<size_t>(sysconf(_SC_PAGESIZE));
 }  // namespace
 
 // ---------------------------------------------------------------- ThreadCtx
 
 void ThreadCtx::work(uint64_t ns) { executor_->thread_work(executor_->get(id_), ns); }
 void ThreadCtx::work_atomic(uint64_t ns) {
-  executor_->thread_work_atomic(executor_->get(id_), ns);
+  executor_->advance(executor_->get(id_), ns, /*on_cpu=*/true);
 }
-void ThreadCtx::sleep(uint64_t ns) { executor_->thread_sleep(executor_->get(id_), ns); }
-void ThreadCtx::yield() { executor_->thread_yield(executor_->get(id_)); }
+void ThreadCtx::sleep(uint64_t ns) {
+  executor_->advance(executor_->get(id_), ns, /*on_cpu=*/false);
+}
+void ThreadCtx::yield() { work_atomic(0); }
 uint64_t ThreadCtx::now() const { return executor_->get(id_).vtime; }
 
 ThreadCtx::PreemptHook ThreadCtx::set_preempt_hook(PreemptHook hook) {
@@ -32,7 +45,8 @@ ThreadCtx::PreemptHook ThreadCtx::set_preempt_hook(PreemptHook hook) {
 // -------------------------------------------------------------------- Event
 
 void Event::wait(ThreadCtx& ctx) {
-  executor_->thread_wait_event(executor_->get(ctx.id()), *this);
+  executor_->thread_wait_event_until(executor_->get(ctx.id()), *this,
+                                     Executor::kNoDeadline);
 }
 
 bool Event::wait_until(ThreadCtx& ctx, uint64_t deadline_ns) {
@@ -65,52 +79,32 @@ const Executor::SimThread& Executor::get(ThreadId id) const {
 }
 
 ThreadId Executor::spawn(std::string name, ThreadFn fn, bool daemon) {
-  std::unique_lock<std::mutex> lock(mu_);
   MIG_CHECK_MSG(!shutting_down_, "spawn during shutdown");
   auto t = std::make_unique<SimThread>();
   t->id = next_id_++;
   t->name = std::move(name);
   t->daemon = daemon;
   t->ctx.reset(new ThreadCtx(this, t->id, t->name));
+  t->fn = std::move(fn);
   // Start no earlier than the spawner's clock (causality).
   uint64_t start_at = sched_now_;
-  if (tls_ctx != nullptr && tls_ctx->executor_ == this) {
-    start_at = std::max(start_at, get(tls_ctx->id()).vtime);
+  if (running_ != kInvalidThread) {
+    start_at = std::max(start_at, get(running_).vtime);
   }
   t->vtime = start_at;
   t->ready_at = start_at;
-  SimThread* tp = t.get();
   threads_.push_back(std::move(t));
-
-  tp->os_thread = std::thread([this, tp, fn = std::move(fn)]() {
-    {
-      std::unique_lock<std::mutex> l(mu_);
-      tp->cv.wait(l, [&] { return tp->baton; });
-    }
-    tls_ctx = tp->ctx.get();
-    try {
-      if (!tp->kill_requested) fn(*tp->ctx);
-    } catch (const ThreadKilled&) {
-      // Normal cancellation path.
-    }
-    tls_ctx = nullptr;
-    std::unique_lock<std::mutex> l(mu_);
-    tp->state = State::kFinished;
-    tp->baton = false;
-    tp->yielded_back = true;
-    driver_cv_.notify_all();
-  });
-  return tp->id;
+  return threads_.back()->id;
 }
 
-bool Executor::drained_locked() const {
+bool Executor::drained() const {
   for (const auto& t : threads_) {
     if (!t->daemon && t->state != State::kFinished) return false;
   }
   return true;
 }
 
-bool Executor::step_locked(std::unique_lock<std::mutex>& lock) {
+bool Executor::step() {
   // Earliest-start-first among runnable threads; ties broken by id for
   // determinism. All CPUs are identical, so a burst starts at
   // max(thread.ready_at, earliest-free CPU).
@@ -148,10 +142,7 @@ bool Executor::step_locked(std::unique_lock<std::mutex>& lock) {
   running_ = best->id;
   ++stats_.slices;
 
-  best->baton = true;
-  best->yielded_back = false;
-  best->cv.notify_one();
-  driver_cv_.wait(lock, [&] { return best->yielded_back; });
+  enter_fiber(*best);
   running_ = kInvalidThread;
   return true;
 }
@@ -163,7 +154,8 @@ bool Executor::run() {
 }
 
 bool Executor::run_until(uint64_t deadline_ns) {
-  std::unique_lock<std::mutex> lock(mu_);
+  MIG_CHECK_MSG(running_ == kInvalidThread,
+                "run() called from one of the executor's own threads");
   // Scheduling stats fold into the metrics registry when the run ends, so a
   // traced capture carries the executor's view of the same interval.
   auto publish = [&] {
@@ -175,11 +167,11 @@ bool Executor::run_until(uint64_t deadline_ns) {
     m.set_gauge("sim.threads", threads_.size());
   };
   for (;;) {
-    if (drained_locked() || sched_now_ >= deadline_ns) {
+    if (drained() || sched_now_ >= deadline_ns) {
       publish();
       return true;
     }
-    if (!step_locked(lock)) {
+    if (!step()) {
       // Non-daemon threads remain but nothing is runnable: a hang.
       publish();
       return false;
@@ -188,7 +180,6 @@ bool Executor::run_until(uint64_t deadline_ns) {
 }
 
 void Executor::kill(ThreadId id) {
-  std::unique_lock<std::mutex> lock(mu_);
   SimThread& t = get(id);
   if (t.state == State::kFinished) return;
   t.kill_requested = true;
@@ -200,7 +191,6 @@ void Executor::kill(ThreadId id) {
 }
 
 void Executor::suspend(ThreadId id) {
-  std::unique_lock<std::mutex> lock(mu_);
   SimThread& t = get(id);
   MIG_CHECK_MSG(t.state == State::kRunnable || t.state == State::kWaiting,
                 "suspend on thread '" << t.name << "' in bad state");
@@ -211,7 +201,6 @@ void Executor::suspend(ThreadId id) {
 }
 
 void Executor::resume(ThreadId id, uint64_t at_ns) {
-  std::unique_lock<std::mutex> lock(mu_);
   SimThread& t = get(id);
   if (t.state != State::kSuspended) return;
   t.state = State::kRunnable;
@@ -219,66 +208,115 @@ void Executor::resume(ThreadId id, uint64_t at_ns) {
 }
 
 bool Executor::finished(ThreadId id) const {
-  std::unique_lock<std::mutex> lock(mu_);
   return get(id).state == State::kFinished;
 }
 
 std::string Executor::dump_state() const {
-  std::unique_lock<std::mutex> lock(mu_);
+  static const char* const kStateNames[] = {"RUNNABLE", "RUNNING", "WAITING",
+                                            "SUSPENDED", "FINISHED"};
   std::string out;
   for (const auto& t : threads_) {
     if (t->state == State::kFinished) continue;
-    const char* state = "?";
-    switch (t->state) {
-      case State::kRunnable: state = "RUNNABLE"; break;
-      case State::kRunning: state = "RUNNING"; break;
-      case State::kWaiting: state = "WAITING"; break;
-      case State::kSuspended: state = "SUSPENDED"; break;
-      case State::kFinished: state = "FINISHED"; break;
-    }
-    out += "  " + t->name + (t->daemon ? " [daemon] " : " ") + state +
+    out += "  " + t->name + (t->daemon ? " [daemon] " : " ") +
+           kStateNames[static_cast<int>(t->state)] +
            " vtime=" + std::to_string(t->vtime) + "\n";
   }
   return out;
 }
 
 void Executor::shutdown() {
+  if (shutting_down_) return;
+  shutting_down_ = true;
+  for (auto& t : threads_) kill(t->id);
+  // Each live thread observes ThreadKilled at its next scheduling point (one
+  // never scheduled skips its body) and unwinds. A killed thread cannot block
+  // again, so this runs until every thread has finished.
+  while (step()) {
+  }
+}
+
+// ------------------------------------------------------------------- fibers
+
+void Executor::enter_fiber(SimThread& t) {
+  if (t.stack == nullptr) {
+    // The lowest page stays PROT_NONE: an overflow faults at once.
+    void* m = mmap(nullptr, kFiberStackBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                   -1, 0);
+    MIG_CHECK_MSG(m != MAP_FAILED, "fiber stack mmap failed");
+    t.stack = static_cast<char*>(m);
+    MIG_CHECK(mprotect(t.stack, kPageBytes, PROT_NONE) == 0);
+    MIG_CHECK(getcontext(&t.uc) == 0);
+    t.uc.uc_stack.ss_sp = t.stack + kPageBytes;
+    t.uc.uc_stack.ss_size = kFiberStackBytes - kPageBytes;
+    t.uc.uc_link = nullptr;
+    auto self = reinterpret_cast<uintptr_t>(this);
+    makecontext(&t.uc, reinterpret_cast<void (*)()>(&Executor::fiber_entry), 2,
+                static_cast<unsigned>(self), static_cast<unsigned>(self >> 32));
+#ifdef __SANITIZE_THREAD__
+    t.tsan_fiber = __tsan_create_fiber(0);
+#endif
+  }
+#ifdef __SANITIZE_ADDRESS__
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(&fake_stack, t.stack + kPageBytes,
+                                 kFiberStackBytes - kPageBytes);
+#endif
+#ifdef __SANITIZE_THREAD__
+  sched_tsan_fiber_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(t.tsan_fiber, 0);
+#endif
+  MIG_CHECK(swapcontext(&sched_ctx_, &t.uc) == 0);
+#ifdef __SANITIZE_ADDRESS__
+  __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
+  if (t.state != State::kFinished) return;
+#ifdef __SANITIZE_THREAD__
+  __tsan_destroy_fiber(t.tsan_fiber);
+#endif
+#ifdef __SANITIZE_ADDRESS__
+  // fiber_entry's frame never returned, so its redzones are still poisoned.
+  __asan_unpoison_memory_region(t.stack, kFiberStackBytes);
+#endif
+  munmap(t.stack, kFiberStackBytes);
+  t.stack = nullptr;
+}
+
+void Executor::leave_fiber(SimThread& t, [[maybe_unused]] bool final) {
+#ifdef __SANITIZE_ADDRESS__
+  __sanitizer_start_switch_fiber(final ? nullptr : &t.asan_fake_stack,
+                                 sched_stack_, sched_stack_size_);
+#endif
+#ifdef __SANITIZE_THREAD__
+  __tsan_switch_to_fiber(sched_tsan_fiber_, 0);
+#endif
+  MIG_CHECK(swapcontext(&t.uc, &sched_ctx_) == 0);
+#ifdef __SANITIZE_ADDRESS__
+  __sanitizer_finish_switch_fiber(t.asan_fake_stack, &sched_stack_,
+                                  &sched_stack_size_);
+#endif
+}
+
+void Executor::fiber_entry(unsigned lo, unsigned hi) noexcept {
+  // noexcept: an exception other than ThreadKilled ends the process here
+  // instead of unwinding into the makecontext trampoline.
+  auto* self =
+      reinterpret_cast<Executor*>(static_cast<uintptr_t>(hi) << 32 | lo);
+#ifdef __SANITIZE_ADDRESS__
+  __sanitizer_finish_switch_fiber(nullptr, &self->sched_stack_,
+                                  &self->sched_stack_size_);
+#endif
+  SimThread& t = self->get(self->running_);
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (shutting_down_) return;
-    shutting_down_ = true;
-    for (auto& t : threads_) {
-      if (t->state == State::kFinished) continue;
-      t->kill_requested = true;
-      if (t->state == State::kWaiting || t->state == State::kSuspended) {
-        t->state = State::kRunnable;
-        t->ready_at = std::max(t->vtime, sched_now_);
-      }
-    }
-    // Drive remaining threads to completion; each observes ThreadKilled at
-    // its next scheduling point.
-    for (;;) {
-      bool any_live = false;
-      for (auto& t : threads_) {
-        if (t->state != State::kFinished) any_live = true;
-      }
-      if (!any_live) break;
-      if (!step_locked(lock)) break;  // nothing runnable: threads that never
-                                      // started are handled below
-    }
-    // Threads that were spawned but never scheduled: hand them the baton so
-    // the trampoline exits via the kill check.
-    for (auto& t : threads_) {
-      if (t->state != State::kFinished && t->os_thread.joinable()) {
-        t->baton = true;
-        t->cv.notify_one();
-        driver_cv_.wait(lock, [&] { return t->yielded_back; });
-      }
+    ThreadFn fn = std::move(t.fn);
+    try {
+      if (!t.kill_requested) fn(*t.ctx);
+    } catch (const ThreadKilled&) {  // the normal cancellation path
     }
   }
-  for (auto& t : threads_) {
-    if (t->os_thread.joinable()) t->os_thread.join();
-  }
+  // Nothing on this stack is live past here: the scheduler unmaps it.
+  t.state = State::kFinished;
+  self->leave_fiber(t, /*final=*/true);
 }
 
 // ----------------------------------------------- sim-thread-side primitives
@@ -287,94 +325,47 @@ void Executor::check_kill(SimThread& t) {
   if (t.kill_requested) throw ThreadKilled{};
 }
 
-void Executor::reschedule_locked(std::unique_lock<std::mutex>& lock,
-                                 SimThread& t) {
+void Executor::reschedule(SimThread& t) {
   // Release the CPU this slice occupied. cpu_release excludes non-CPU time
   // (sleeping, waiting) so those do not block other threads' bursts.
   auto it = std::min_element(cpu_free_.begin(), cpu_free_.end());
   *it = std::max(*it, t.cpu_release);
 
-  t.baton = false;
-  t.yielded_back = true;
-  driver_cv_.notify_all();
-  t.cv.wait(lock, [&] { return t.baton; });
+  leave_fiber(t, /*final=*/false);
   t.state = State::kRunning;
   check_kill(t);
 }
 
 void Executor::thread_work(SimThread& t, uint64_t ns) {
-  std::unique_lock<std::mutex> lock(mu_);
   check_kill(t);
-  uint64_t remaining = ns;
-  while (remaining > 0) {
+  for (uint64_t remaining = ns; remaining > 0;) {
     uint64_t chunk = std::min(remaining, quantum_ns_);
-    t.vtime += chunk;
     remaining -= chunk;
-    t.ready_at = t.vtime;
-    t.cpu_release = t.vtime;
-    t.state = State::kRunnable;
-    reschedule_locked(lock, t);
+    advance(t, chunk, /*on_cpu=*/true);
     // Quantum boundary: deliver the preemption hook (unless we are already
     // inside one — AEX handlers must not recursively AEX in the model).
     if (chunk == quantum_ns_ && t.preempt_hook && !t.in_hook) {
       ++stats_.preemptions;
       t.in_hook = true;
       auto hook = t.preempt_hook;  // copy: hook may replace itself
-      lock.unlock();
       hook(*t.ctx);
-      lock.lock();
       t.in_hook = false;
       check_kill(t);
     }
   }
 }
 
-void Executor::thread_work_atomic(SimThread& t, uint64_t ns) {
-  std::unique_lock<std::mutex> lock(mu_);
+void Executor::advance(SimThread& t, uint64_t ns, bool on_cpu) {
   check_kill(t);
+  t.cpu_release = on_cpu ? t.vtime + ns : t.vtime;  // a sleeper frees the CPU
   t.vtime += ns;
   t.ready_at = t.vtime;
-  t.cpu_release = t.vtime;
   t.state = State::kRunnable;
-  reschedule_locked(lock, t);
-}
-
-void Executor::thread_sleep(SimThread& t, uint64_t ns) {
-  std::unique_lock<std::mutex> lock(mu_);
-  check_kill(t);
-  t.cpu_release = t.vtime;  // the CPU is free while we sleep
-  t.ready_at = t.vtime + ns;
-  t.vtime = t.ready_at;
-  t.state = State::kRunnable;
-  reschedule_locked(lock, t);
-}
-
-void Executor::thread_yield(SimThread& t) {
-  std::unique_lock<std::mutex> lock(mu_);
-  check_kill(t);
-  t.ready_at = t.vtime;
-  t.cpu_release = t.vtime;
-  t.state = State::kRunnable;
-  reschedule_locked(lock, t);
-}
-
-void Executor::thread_wait_event(SimThread& t, Event& ev) {
-  std::unique_lock<std::mutex> lock(mu_);
-  check_kill(t);
-  if (ev.set_) {
-    t.vtime = std::max(t.vtime, ev.set_time_);
-    return;
-  }
-  ev.waiters_.push_back(t.id);
-  t.state = State::kWaiting;
-  t.cpu_release = t.vtime;
-  reschedule_locked(lock, t);
-  // Woken: clock joining happened in event_set via ready_at.
+  reschedule(t);
 }
 
 bool Executor::thread_wait_event_until(SimThread& t, Event& ev,
                                        uint64_t deadline_ns) {
-  std::unique_lock<std::mutex> lock(mu_);
   check_kill(t);
   if (ev.set_) {
     t.vtime = std::max(t.vtime, ev.set_time_);
@@ -385,7 +376,7 @@ bool Executor::thread_wait_event_until(SimThread& t, Event& ev,
   t.state = State::kWaiting;
   t.cpu_release = t.vtime;
   t.wait_deadline = deadline_ns;
-  reschedule_locked(lock, t);
+  reschedule(t);
   t.wait_deadline = kNoDeadline;
   // Disambiguate the wake cause: event_set() clears the waiter list, so if we
   // are still on it, the scheduler woke us at the deadline.
@@ -398,7 +389,6 @@ bool Executor::thread_wait_event_until(SimThread& t, Event& ev,
 }
 
 void Executor::event_set(SimThread* setter, Event& ev) {
-  std::unique_lock<std::mutex> lock(mu_);
   uint64_t at = setter != nullptr ? setter->vtime : sched_now_;
   ev.set_ = true;
   ev.set_time_ = std::max(ev.set_time_, at);

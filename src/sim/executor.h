@@ -6,11 +6,11 @@
 // substrate for that machine:
 //
 //  * Guest threads (enclave workers, control threads, guest-OS activities,
-//    the QEMU/hypervisor migration loop) are spawned as *sim threads*. They
-//    are real std::threads underneath, but exactly one runs at a time and
-//    handoff happens only at explicit points (work/sleep/yield/wait), so the
-//    whole simulation is deterministic: same seed + same program = same
-//    interleaving = same virtual timings.
+//    the QEMU/hypervisor migration loop) are spawned as *sim threads*:
+//    fibers (ucontext + mmap'd stack) on the one OS thread that calls run().
+//    Exactly one runs at a time and handoff happens only at explicit points
+//    (work/sleep/yield/wait), so the whole simulation is deterministic: same
+//    seed + same program = same interleaving = same virtual timings.
 //
 //  * Virtual time: a thread charges CPU time with ctx.work(ns). The executor
 //    schedules bursts onto `num_cpus` model CPUs (earliest-free CPU first),
@@ -33,14 +33,12 @@
 // time observed by the orchestrator" is causally meaningful.
 #pragma once
 
-#include <condition_variable>
+#include <ucontext.h>
+
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "util/check.h"
@@ -191,8 +189,8 @@ class Executor {
   uint64_t quantum_ns() const { return quantum_ns_; }
   const ExecutorStats& stats() const { return stats_; }
 
-  // Kills all live threads and joins them. Called by the destructor; safe to
-  // call explicitly.
+  // Kills all live threads and runs each until it has unwound. Called by the
+  // destructor; safe to call explicitly.
   void shutdown();
 
   // Diagnostic: one line per unfinished thread (name + state). For hang
@@ -205,7 +203,7 @@ class Executor {
 
   enum class State : uint8_t {
     kRunnable,   // eligible at vtime ready_at
-    kRunning,    // currently holding the baton
+    kRunning,    // its fiber is the one executing
     kWaiting,    // blocked on an Event
     kSuspended,  // parked by suspend()
     kFinished,
@@ -230,39 +228,42 @@ class Executor {
     bool in_hook = false;  // preemption hook active (suppresses nesting)
     std::unique_ptr<ThreadCtx> ctx;
     ThreadCtx::PreemptHook preempt_hook;
-    // Baton handoff.
-    std::condition_variable cv;
-    bool baton = false;          // thread may run
-    bool yielded_back = true;    // thread has returned the baton
-    std::thread os_thread;
+    ThreadFn fn;  // moved onto the fiber's stack when it first runs
+    ucontext_t uc{};
+    char* stack = nullptr;  // mapped from first slice until finished
+    void* asan_fake_stack = nullptr;
+    void* tsan_fiber = nullptr;
   };
 
   // -- called from sim threads (via ThreadCtx/Event) --
   void thread_work(SimThread& t, uint64_t ns);
-  void thread_work_atomic(SimThread& t, uint64_t ns);
-  void thread_sleep(SimThread& t, uint64_t ns);
-  void thread_yield(SimThread& t);
-  void thread_wait_event(SimThread& t, Event& ev);
+  // Ends the slice `ns` from now, holding the CPU that long only if `on_cpu`.
+  void advance(SimThread& t, uint64_t ns, bool on_cpu);
   bool thread_wait_event_until(SimThread& t, Event& ev, uint64_t deadline_ns);
   void event_set(SimThread* setter, Event& ev);
 
-  // Returns the baton to the scheduler and blocks until rescheduled.
-  // Precondition: lock held; postcondition: lock held, thread is kRunning.
-  void reschedule_locked(std::unique_lock<std::mutex>& lock, SimThread& t);
+  // Releases the slice's CPU and switches back to the scheduler; returns once
+  // the scheduler picks this thread again (state kRunning).
+  void reschedule(SimThread& t);
   void check_kill(SimThread& t);
 
-  SimThread& current();
   SimThread& get(ThreadId id);
   const SimThread& get(ThreadId id) const;
 
-  // -- scheduler core (runs on the driver thread) --
-  // Picks the next runnable thread and hands it the baton; returns false if
-  // nothing is runnable. Precondition/postcondition: lock held.
-  bool step_locked(std::unique_lock<std::mutex>& lock);
-  bool drained_locked() const;
+  // -- scheduler core (runs on the thread that called run/run_until) --
+  // Picks the next runnable thread and switches to its fiber until it hands
+  // control back; returns false if nothing is runnable.
+  bool step();
+  bool drained() const;
 
-  mutable std::mutex mu_;
-  std::condition_variable driver_cv_;
+  // Scheduler -> fiber `t`, mapping its stack on first use and unmapping it
+  // once `t` has finished. Returns when `t` switches back.
+  void enter_fiber(SimThread& t);
+  // Fiber `t` -> scheduler. `final`: `t` has finished and is never resumed.
+  void leave_fiber(SimThread& t, bool final);
+  // Base frame of every fiber; makecontext passes `this` as two int halves.
+  static void fiber_entry(unsigned lo, unsigned hi) noexcept;
+
   std::vector<std::unique_ptr<SimThread>> threads_;
   std::vector<uint64_t> cpu_free_;
   uint64_t quantum_ns_;
@@ -271,6 +272,11 @@ class Executor {
   ThreadId running_ = kInvalidThread;
   bool shutting_down_ = false;
   ExecutorStats stats_;
+  // The scheduler's context while a fiber runs; the sanitizers' view of it.
+  ucontext_t sched_ctx_{};
+  const void* sched_stack_ = nullptr;
+  size_t sched_stack_size_ = 0;
+  void* sched_tsan_fiber_ = nullptr;
 };
 
 }  // namespace mig::sim

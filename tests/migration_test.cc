@@ -3,6 +3,8 @@
 // restore), the agent optimization, owner provisioning, and cancellation.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "guestos/guest_os.h"
 #include "hv/machine.h"
 #include "migration/owner.h"
@@ -70,11 +72,11 @@ struct MigrationBed {
   crypto::SigKeyPair dev_signer;
   EnclaveOwner owner;
 
-  MigrationBed()
+  explicit MigrationBed(hv::VmConfig vm_config = {})
       : world(4),
         source(&world.add_machine("source")),
         target(&world.add_machine("target")),
-        vm(hv::VmConfig{}, hv::DirtyModel{}),
+        vm(vm_config, hv::DirtyModel{}),
         guest(*source, vm),
         process(&guest.create_process("app")),
         owner(world.ias(), crypto::Drbg(to_bytes("owner"))) {
@@ -322,6 +324,76 @@ TEST(EnclaveMigration, TamperedCheckpointRejected) {
     EXPECT_FALSE(st.ok());
     EXPECT_EQ(st.code(), ErrorCode::kIntegrityViolation);
   });
+}
+
+// Clients keep calling into the enclave while the VM migrates there and
+// back. An ecall caught mid-flight by either leg must return on the new
+// host. A client whose EENTER is still under way when the checkpoint reads
+// the worker flags goes on to spin and AEX on the source, after the
+// capture: the restore's pump plan leaves that worker out, and it must
+// believe CSSA 0 on the target. Kept at its source count, it would ERESUME
+// a TCS with no saved frame and retry forever. These client seeds each hit
+// that window on one leg (17, 23, 26 on the way back, 24 on the way out).
+// The run is bounded in model time, so a call that never returns fails the
+// test rather than hanging it.
+TEST(EnclaveMigration, InFlightClientEcallsReturnAfterEachLeg) {
+  constexpr uint64_t kClients = 4;
+  for (uint64_t seed : {17, 23, 24, 26}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    MigrationBed bed(hv::VmConfig{.memory_mb = 256});
+    auto host = bed.make_host(kClients);
+    bool stop = false;
+    uint64_t live = 0, acked = 0, legs_done = 0;
+    bool body_done = false;
+    sim::Event clients_done(bed.world.executor());
+    bed.world.executor().spawn("test", [&](sim::ThreadCtx& ctx) {
+      ASSERT_TRUE(host->create(ctx).ok());
+      bed.provision(ctx, *host);
+      for (uint64_t leg = 0; leg < 2; ++leg) {
+        hv::Machine& src = leg == 0 ? *bed.source : *bed.target;
+        hv::Machine& dst = leg == 0 ? *bed.target : *bed.source;
+        VmMigrationSession session(bed.world, bed.vm, bed.guest, src, dst,
+                                   VmMigrationSession::Options{});
+        session.manage(*host);
+        stop = false;
+        clients_done.reset();
+        std::vector<sim::ThreadId> clients;
+        for (uint64_t c = 0; c < kClients; ++c) {
+          ++live;
+          clients.push_back(bed.process->spawn_thread(
+              "client" + std::to_string(c), [&, c](sim::ThreadCtx& cc) {
+                std::mt19937_64 prng(seed * 977 + leg * 31 + c);
+                while (!stop) {
+                  Writer w;
+                  w.u64(1);
+                  if (!host->ecall(cc, c, kEcallAdd, w.data()).ok()) break;
+                  ++acked;
+                  cc.sleep(150'000 + prng() % 100'001);
+                }
+                if (--live == 0) clients_done.set(cc);
+              }));
+        }
+        auto report = session.run(ctx);
+        ASSERT_TRUE(report.ok()) << report.status().to_string();
+        ASSERT_TRUE(report->success);
+        stop = true;
+        if (!clients_done.wait_until(ctx, ctx.now() + 1'000'000'000)) {
+          for (sim::ThreadId t : clients) ctx.executor().kill(t);
+          FAIL() << "a client ecall never returned after leg " << leg;
+        }
+        ASSERT_EQ(host->instance()->machine, &dst);
+        ++legs_done;
+      }
+      // Every acknowledged add landed exactly once.
+      auto got = host->ecall(ctx, 0, kEcallGet, {});
+      ASSERT_TRUE(got.ok()) << got.status().to_string();
+      Reader rd(*got);
+      EXPECT_EQ(rd.u64(), acked);
+      body_done = true;
+    });
+    bed.world.executor().run_until(60'000'000'000);
+    EXPECT_TRUE(body_done) << "legs done: " << legs_done;
+  }
 }
 
 }  // namespace

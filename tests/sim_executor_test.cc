@@ -1,10 +1,14 @@
 // Tests for the deterministic cooperative executor: virtual-time accounting,
-// multi-CPU contention, events, preemption hooks, suspension and kill.
+// multi-CPU contention, events, preemption hooks, suspension and kill, and
+// the fiber substrate underneath (one OS thread, 8 MB stacks).
 #include "sim/executor.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace mig::sim {
@@ -263,6 +267,99 @@ TEST(Executor, SpawnFromSimThreadInheritsClock) {
   });
   ASSERT_TRUE(exec.run());
   EXPECT_GE(child_start, 77'000u);
+}
+
+// The process's OS thread count, from /proc/self/status.
+int os_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(Executor, LiveSimThreadsAddNoOsThreads) {
+  int before = os_threads();
+  ASSERT_GT(before, 0);
+  Executor exec(4);
+  Event all_live(exec);
+  int live = 0, during = -1;
+  for (int i = 0; i < 64; ++i) {
+    exec.spawn("w", [&](ThreadCtx& ctx) {
+      ctx.work(1'000);
+      if (++live == 64) {
+        during = os_threads();
+        all_live.set(ctx);
+      }
+      all_live.wait(ctx);
+    });
+  }
+  ASSERT_TRUE(exec.run());
+  EXPECT_EQ(live, 64);
+  EXPECT_EQ(during, before);
+  EXPECT_EQ(os_threads(), before);
+}
+
+// About 4 KB per frame, kept alive across the recursive call.
+[[gnu::noinline]] uint64_t recurse(ThreadCtx& ctx, int depth) {
+  volatile char frame[4096];
+  frame[0] = static_cast<char>(depth);
+  frame[sizeof(frame) - 1] = static_cast<char>(depth);
+  if (depth == 0) {
+    ctx.work(1'000);  // a hand-off at the deepest point
+    return 0;
+  }
+  uint64_t below = recurse(ctx, depth - 1);
+  return below + static_cast<unsigned char>(frame[0]) +
+         static_cast<unsigned char>(frame[sizeof(frame) - 1]);
+}
+
+TEST(Executor, DeepRecursionFitsOnAFiberStack) {
+  Executor exec(1);
+  uint64_t sum = 0;
+  exec.spawn("deep", [&](ThreadCtx& ctx) { sum = recurse(ctx, 256); });
+  exec.spawn("other", [&](ThreadCtx& ctx) { ctx.work(5'000); });
+  ASSERT_TRUE(exec.run());
+  uint64_t want = 0;
+  for (int d = 1; d <= 256; ++d) want += 2 * static_cast<unsigned char>(d);
+  EXPECT_EQ(sum, want);
+}
+
+TEST(Executor, KillBeforeFirstSliceSkipsTheBody) {
+  Executor exec(1);
+  bool outside_victim_ran = false, thread_victim_ran = false;
+  ThreadId from_outside = exec.spawn("victim-a", [&](ThreadCtx&) {
+    outside_victim_ran = true;
+  });
+  // Spawned after the killer, so the killer's slice comes first.
+  ThreadId from_thread = kInvalidThread;
+  exec.spawn("killer", [&](ThreadCtx&) { exec.kill(from_thread); });
+  from_thread = exec.spawn("victim-b", [&](ThreadCtx& ctx) {
+    thread_victim_ran = true;
+    ctx.work(1'000);
+  });
+  exec.kill(from_outside);
+  ASSERT_TRUE(exec.run());
+  EXPECT_FALSE(outside_victim_ran);
+  EXPECT_FALSE(thread_victim_ran);
+  EXPECT_TRUE(exec.finished(from_outside));
+  EXPECT_TRUE(exec.finished(from_thread));
+}
+
+TEST(ExecutorDeathTest, ForeignExceptionEndsTheProcess) {
+  // Only ThreadKilled is caught at the fiber's base; anything else must not
+  // unwind across the context switch into the scheduler.
+  EXPECT_DEATH(
+      {
+        Executor exec(1);
+        exec.spawn("thrower", [](ThreadCtx& ctx) {
+          ctx.work(1'000);
+          throw std::runtime_error("escaped the sim thread");
+        });
+        exec.run();
+      },
+      "escaped the sim thread");
 }
 
 TEST(EventWaitUntil, TimeoutAdvancesClockToDeadlineAndReturnsFalse) {
