@@ -169,11 +169,6 @@ Status EnclaveMigrator::restore(
     obs::Span<sim::ThreadCtx> tail_span(
         ctx, "restore.postcopy_tail", "migration",
         {{"pages", restored.postcopy_pending.size()}});
-    PagePullOptions popts;
-    popts.demand_batch = opts.postcopy_demand_batch;
-    popts.prefetch_pages = opts.postcopy_prefetch;
-    popts.reply_timeout_ns = opts.postcopy_reply_timeout_ns;
-
     std::unique_ptr<sim::Channel> page_ch;
     std::unique_ptr<ServeOutcome> page_serve_out;
     std::optional<sim::Channel::End> client_end;
@@ -191,18 +186,15 @@ Status EnclaveMigrator::restore(
       sdk::ControlMailbox* smb = source_instance->mailbox.get();
       sim::Channel* pch = page_ch.get();
       ServeOutcome* pout = page_serve_out.get();
-      uint64_t prefetch = opts.postcopy_prefetch;
       world_->executor().spawn(
-          "page-service", [smb, pch, pout, prefetch](sim::ThreadCtx& c) {
-            PageServiceOptions sopts;
-            sopts.prefetch_pages = prefetch;
-            pout->status = serve_pages(c, *smb, pch->a(), sopts).status();
+          "page-service", [smb, pch, pout](sim::ThreadCtx& c) {
+            pout->status = serve_pages(c, *smb, pch->a()).status();
             pout->done.set(c);
           });
     }
     Result<PagePullStats> pulled =
         pull_pages(ctx, host.mailbox(), *client_end, restored.postcopy_pending,
-                   restored.postcopy_epoch, popts);
+                   restored.postcopy_epoch, opts.postcopy_demand_batch);
     if (page_serve_out != nullptr) {
       // Join the serve loop before the channel (and possibly the source
       // instance) can go away. On a failed pull it retires at its idle
@@ -449,8 +441,6 @@ void VmMigrationSession::manage(sdk::EnclaveHost& host) {
 EnclaveMigrateOptions VmMigrationSession::enclave_opts() const {
   EnclaveMigrateOptions opts;
   opts.cipher = opts_.cipher;
-  opts.chunk_bytes = opts_.chunk_bytes;
-  opts.seal_workers = opts_.seal_workers;
   opts.counter_service = opts_.counter_service;
   opts.post_copy = opts_.post_copy || opts_.hybrid;
   return opts;

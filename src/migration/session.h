@@ -67,8 +67,6 @@ struct EnclaveMigrateOptions {
   // itself; tests pass their own end to control (and sever) the link.
   sim::Channel::End* page_channel = nullptr;
   uint64_t postcopy_demand_batch = 8;   // faults bundled per request frame
-  uint64_t postcopy_prefetch = 8;       // fault-adjacent pages served along
-  uint64_t postcopy_reply_timeout_ns = 5'000'000'000;  // then fail closed
 };
 
 // Moves one enclave of `host` from its current instance to the guest's
@@ -183,10 +181,6 @@ class VmMigrationSession {
     // Agent host environment on the target (required when use_agent).
     guestos::GuestOs* target_host_os = nullptr;
     crypto::SigKeyPair dev_signer;        // for building the agent
-    // Chunked checkpoint pipeline knobs, forwarded to every enclave's
-    // EnclaveMigrateOptions (0 chunk_bytes = legacy v1 sealing).
-    uint64_t chunk_bytes = 64 * 1024;
-    uint64_t seal_workers = 2;
     // Forwarded to every enclave's EnclaveMigrateOptions: when set, each
     // committed restore advances the enclave's monotonic counter (rollback
     // defense for pre-migration snapshots).

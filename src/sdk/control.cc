@@ -224,18 +224,19 @@ class ControlEngine {
   // in virtual time the dump genuinely overlaps whatever else runs — which
   // is precisely what the §IV-A consistency attack exploits when the
   // quiescence protocol is skipped (kNaiveDump).
-  uint64_t charge_page_dump() {
-    // The chunked pipeline charges dump traversal per *chunk* inside the
-    // pipeline instead (stage 1), so it can overlap sealing in virtual time;
-    // by then the quiescent point has been reached, so per-page cost
-    // placement no longer affects what the dump can observe.
-    if (charge_dump_)
+  //
+  // `charge` is false only while a chunked checkpoint captures state: the
+  // pipeline charges dump traversal per *chunk* instead (stage 1), so it can
+  // overlap sealing in virtual time; by then the quiescent point has been
+  // reached, so per-page cost placement no longer affects what the dump can
+  // observe.
+  void charge_page_dump(bool charge = true) {
+    if (charge)
       env_->work(sim::per_byte_x100(
           env_->cost().checkpoint_dump_ns_per_byte_x100, sgx::kPageSize));
-    return sgx::kPageSize;
   }
 
-  Result<Bytes> dump_region(uint64_t off, uint64_t pages) {
+  Result<Bytes> dump_region(uint64_t off, uint64_t pages, bool charge_dump) {
     Bytes out;
     out.reserve(pages * sgx::kPageSize);
     for (uint64_t p = 0; p < pages; ++p) {
@@ -251,12 +252,12 @@ class ControlEngine {
                      "migrated under SGXv1 (" + st.message() + ")");
       }
       append(out, page);
-      charge_page_dump();
+      charge_page_dump(charge_dump);
     }
     return out;
   }
 
-  std::vector<WorkerSnapshot> capture_workers() {
+  std::vector<WorkerSnapshot> capture_workers(bool charge_dump) {
     std::vector<WorkerSnapshot> out;
     for (uint64_t i = 0; i < num_workers(); ++i) {
       WorkerSnapshot w;
@@ -265,28 +266,31 @@ class ControlEngine {
       w.cssa_eenter = env_->read_u64(tls + kTlCssaEenter);
       w.true_cssa = true_cssa_from_flags(w.local_flag, w.cssa_eenter);
       w.tls_page = env_->read_bytes(tls, sgx::kPageSize);
-      charge_page_dump();
+      charge_page_dump(charge_dump);
       // Lower SSA frames hold real interrupted contexts; the top frame of a
       // spinning thread is reconstructed on restore.
       for (uint64_t f = 0; f + 1 < w.true_cssa; ++f) {
         w.ssa_frames.push_back(env_->read_bytes(
             l_->ssa_offset(i) + f * sgx::kPageSize, sgx::kPageSize));
-        charge_page_dump();
+        charge_page_dump(charge_dump);
       }
       out.push_back(std::move(w));
     }
     return out;
   }
 
-  Result<Checkpoint> capture() {
+  // `charge_dump`: see charge_page_dump().
+  Result<Checkpoint> capture(bool charge_dump) {
     Checkpoint c;
-    c.workers = capture_workers();
+    c.workers = capture_workers(charge_dump);
     c.meta_page = env_->read_bytes(0, sgx::kPageSize);
-    charge_page_dump();
-    MIG_ASSIGN_OR_RETURN(c.data_region,
-                         dump_region(l_->data_off, l_->params.data_pages));
-    MIG_ASSIGN_OR_RETURN(c.heap_region,
-                         dump_region(l_->heap_off, l_->params.heap_pages));
+    charge_page_dump(charge_dump);
+    MIG_ASSIGN_OR_RETURN(c.data_region, dump_region(l_->data_off,
+                                                    l_->params.data_pages,
+                                                    charge_dump));
+    MIG_ASSIGN_OR_RETURN(c.heap_region, dump_region(l_->heap_off,
+                                                    l_->params.heap_pages,
+                                                    charge_dump));
     return c;
   }
 
@@ -795,7 +799,7 @@ class ControlEngine {
     if (!final && seg.records.empty()) return Bytes{};
     if (final) {
       Writer tw;
-      write_workers(tw, capture_workers());
+      write_workers(tw, capture_workers(/*charge_dump=*/true));
       Bytes workers_blob = tw.take();
       env_->work(crypto::cipher_cost_ns(cmd.cipher, workers_blob.size()) +
                  sim::per_byte_x100(cost.sha256_ns_per_byte_x100,
@@ -1265,9 +1269,7 @@ class ControlEngine {
     }
     obs::Span<sim::ThreadCtx> dump_span(env_->ctx(), "checkpoint.dump_seal",
                                         "sdk");
-    charge_dump_ = cmd.chunk_bytes == 0;
-    auto c = capture();
-    charge_dump_ = true;
+    auto c = capture(/*charge_dump=*/cmd.chunk_bytes == 0);
     if (!c.ok()) return fail(c.status().code(), c.status().message());
     ControlReply reply;
     reply.blob = seal_checkpoint(*c, kmigrate, cmd);
@@ -1282,7 +1284,7 @@ class ControlEngine {
     Bytes kmigrate = deps_->rng.generate(32);
     env_->write_bytes(kOffKmigrate, kmigrate);
     env_->write_u64(kOffKeyServed, 0);
-    auto c = capture();
+    auto c = capture(/*charge_dump=*/true);
     if (!c.ok()) return fail(c.status().code(), c.status().message());
     ControlReply reply;
     // The strawman predates the chunk pipeline: always plain v1 sealing.
@@ -1655,9 +1657,7 @@ class ControlEngine {
     if (!kencrypt.ok()) return fail(kencrypt.status().code(),
                                     kencrypt.status().message());
     reach_quiescent_point();
-    charge_dump_ = cmd.chunk_bytes == 0;
-    auto c = capture();
-    charge_dump_ = true;
+    auto c = capture(/*charge_dump=*/cmd.chunk_bytes == 0);
     if (!c.ok()) return fail(c.status().code(), c.status().message());
     ControlReply reply;
     reply.blob = seal_checkpoint(*c, *kencrypt, cmd);
@@ -1872,9 +1872,7 @@ class ControlEngine {
     // carries the epoch it was sealed at.
     env_->write_u64(kOffCounterEpoch, grant->counter);
     reach_quiescent_point();
-    charge_dump_ = cmd.chunk_bytes == 0;
-    auto c = capture();
-    charge_dump_ = true;
+    auto c = capture(/*charge_dump=*/cmd.chunk_bytes == 0);
     if (!c.ok()) {
       env_->write_u64(kOffGlobalFlag, 0);
       return fail(c.status().code(), c.status().message());
@@ -2053,9 +2051,6 @@ class ControlEngine {
   // multi-round migration recycles the same few buffers instead of
   // allocating one per page.
   util::BufferPool page_pool_{sgx::kPageSize, 8};
-  // False only while a chunked prepare captures state: the pipeline charges
-  // dump traversal per chunk instead (see charge_page_dump()).
-  bool charge_dump_ = true;
 };
 
 }  // namespace

@@ -1,12 +1,17 @@
 // Fleet-scale host evacuation tests: shared-uplink weighted fairness,
-// admission control, priority + deadline preemption, retry/quarantine with
-// the fail-closed store-restorability guarantee, and determinism under seed.
+// admission control, one-at-a-time stop windows, priority + deadline
+// preemption, retry/quarantine with the fail-closed store-restorability
+// guarantee, and determinism under seed.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
 
 #include "fleet/fleet.h"
 #include "guestos/guest_os.h"
 #include "hv/machine.h"
 #include "migration/owner.h"
+#include "obs/trace.h"
 #include "sdk/builder.h"
 #include "sdk/host.h"
 #include "sim/cost_model.h"
@@ -390,6 +395,63 @@ TEST(FleetEvacuation, DeterministicUnderSeed) {
               r2.vms[i].report.transferred_bytes)
         << i;
   }
+}
+
+TEST(FleetEvacuation, StopWindowsNeverOverlap) {
+  // Three of four identical VMs pre-copy side by side. With one round each,
+  // they all finish it within a few ms and stop with a ~400-page residue
+  // (~50 ms windows that would overlap if left alone); the scheduler must
+  // still admit one downtime window at a time. A window runs from the
+  // source's `stop_and_copy` span begin to the target's `vm.resumed`
+  // instant.
+  obs::ScopedObservation observe;
+  PlainFleet fleet;
+  fleet.make_vms(4);
+  EvacuationPlan plan;
+  plan.max_concurrent = 3;
+  plan.precopy.max_rounds = 1;
+  FleetScheduler sched(fleet.world, plan);
+  for (size_t i = 0; i < fleet.vms.size(); ++i) {
+    VmPlan vp;
+    vp.name = fleet.vms[i]->config().name;
+    sched.add_vm(vp, *fleet.vms[i], *fleet.guests[i], *fleet.source,
+                 *fleet.target);
+  }
+  auto report = fleet.evacuate(sched);
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  ASSERT_EQ(report->migrated, 4u);
+  EXPECT_EQ(report->peak_concurrent, 3u);
+
+  // Each VM's vm.resumed follows its own stop_and_copy begin, so the windows
+  // are pairwise disjoint iff, in virtual time, begins and resumes strictly
+  // alternate: begin, resume, begin, resume, ...
+  struct Boundary {
+    uint64_t ts_ns;
+    bool begin;
+    uint32_t tid;
+  };
+  std::vector<Boundary> boundaries;
+  for (const obs::TraceRecorder::Event& ev : obs::trace().events()) {
+    if (ev.ph == 'B' && ev.name == "stop_and_copy")
+      boundaries.push_back({ev.ts_ns, true, ev.tid});
+    else if (ev.ph == 'i' && ev.name == "vm.resumed")
+      boundaries.push_back({ev.ts_ns, false, ev.tid});
+  }
+  ASSERT_EQ(boundaries.size(), 8u);
+  std::stable_sort(boundaries.begin(), boundaries.end(),
+                   [](const Boundary& a, const Boundary& b) {
+                     return a.ts_ns < b.ts_ns;
+                   });
+  std::set<uint32_t> source_threads;
+  for (size_t i = 0; i < boundaries.size(); ++i) {
+    EXPECT_EQ(boundaries[i].begin, i % 2 == 0) << "boundary " << i;
+    if (boundaries[i].begin) source_threads.insert(boundaries[i].tid);
+    if (i > 0) {
+      EXPECT_LT(boundaries[i - 1].ts_ns, boundaries[i].ts_ns)
+          << "boundary " << i;
+    }
+  }
+  EXPECT_EQ(source_threads.size(), 4u);  // one window per VM
 }
 
 // ---- quarantine keeps the store restorable ----------------------------------

@@ -501,7 +501,6 @@ TEST(Postcopy, SourceOutageDestroysTargetButSourceImageStaysRestorable) {
     sim::Channel::End client = page_ch->b();
     EnclaveMigrateOptions ropts = opts;
     ropts.page_channel = &client;
-    ropts.postcopy_reply_timeout_ns = 50'000'000;
     Status st = migrator.restore(ctx, *host, *bed.source, source_inst,
                                  std::move(sdk::encode_delta_container(segments)),
                                  ropts);
@@ -660,7 +659,6 @@ TEST(PostcopyProperty, InterleavingsPreserveEveryAckedWrite) {
       else
         opts.post_copy = true;
       opts.precopy.max_rounds = 4 + prng() % 6;
-      opts.precopy.postcopy_batch_pages = 64u << (prng() % 4);
       VmMigrationSession session(bed.world, bed.vm, bed.guest, *bed.source,
                                  *bed.target, opts);
       session.manage(*host);

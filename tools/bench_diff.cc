@@ -2,7 +2,8 @@
 // checked-in bench/BENCH_BASELINE.json.
 //
 //   mig_bench_diff [--tolerance-pct N] [--tolerance <key>=<pct>]...
-//                  [--update-baseline] <baseline.json> <results.json>
+//                  [--skip <key>]... [--update-baseline]
+//                  <baseline.json> <results.json>
 //
 // Both files are mig_bench_collect aggregates:
 //   { "benches": [ { "binary": "...", "rows": [ {...}, ... ] } ] }
@@ -20,6 +21,9 @@
 //    (`*_ns_per_byte_x100` matches every key with that suffix). This is how
 //    wall-clock measurements (the micro_primitives hotpath rows) get slack
 //    without loosening the deterministic metrics around them;
+//  * a --skip key (same `*` wildcard) must still be present in both rows,
+//    but its value is not compared — for wall-clock rows measured in a build
+//    whose instrumentation (ASan/UBSan) puts them off any useful band;
 //  * every other number (page counts, byte totals, parameters) must match
 //    exactly — the simulator is deterministic, so any drift there is a
 //    behavior change, not noise.
@@ -55,6 +59,7 @@ Result<std::string> read_file(const std::string& path) {
 struct Options {
   double default_pct = 30.0;
   std::map<std::string, double> per_key_pct;
+  std::vector<std::string> skip_patterns;
   bool update_baseline = false;
   std::string baseline_path;
   std::string results_path;
@@ -185,6 +190,10 @@ void compare_row(const Options& opt, const std::string& where,
       rep->violation(where, key + ": metric disappeared");
       continue;
     }
+    bool skipped = false;
+    for (const std::string& pat : opt.skip_patterns)
+      skipped = skipped || pattern_matches(pat, key);
+    if (skipped) continue;
     compare_value(opt, where, key, bval, *cval, rep);
   }
   for (const auto& [key, cval] : cur.fields()) {
@@ -198,7 +207,8 @@ void compare_row(const Options& opt, const std::string& where,
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--tolerance-pct N] [--tolerance <key>=<pct>]...\n"
-               "          [--update-baseline] <baseline.json> <results.json>\n",
+               "          [--skip <key>]... [--update-baseline]\n"
+               "          <baseline.json> <results.json>\n",
                argv0);
   return 2;
 }
@@ -221,6 +231,9 @@ int main(int argc, char** argv) {
       size_t eq = kv.find('=');
       if (eq == std::string::npos) return usage(argv[0]);
       opt.per_key_pct[kv.substr(0, eq)] = std::atof(kv.c_str() + eq + 1);
+    } else if (arg == "--skip") {
+      if (++i >= argc) return usage(argv[0]);
+      opt.skip_patterns.push_back(argv[i]);
     } else if (!arg.empty() && arg[0] == '-') {
       return usage(argv[0]);
     } else {
